@@ -1,9 +1,9 @@
 //! Benches for the three mappers — the kernel behind the compilation-time
 //! comparison of Fig. 11 — plus the annealer's inner-loop microbenches:
 //! movement throughput (snapshot-clone vs. undo-journal engines) and the
-//! deterministic portfolio. Mapper runs take seconds, so they register as
+//! deterministic lane race. Mapper runs take seconds, so they register as
 //! heavy benches: fewer samples, skipped in `cargo test` smoke mode. The
-//! movement and portfolio entries are cheap and run (once) even in smoke
+//! movement and lane-race entries are cheap and run (once) even in smoke
 //! mode, so `scripts/verify.sh` can check the suite's JSON end to end.
 
 use std::sync::Arc;
@@ -16,12 +16,11 @@ use lisa_events::{PipelineEvent, RecordingObserver};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
-use lisa_mapper::greedy::{GreedyMapper, GreedyParams};
 use lisa_mapper::sa::{movement_throughput, MovementEngine};
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
-    anneal_chain, ConstructiveStrategy, GuidanceLabels, LabelSaMapper, PortfolioParams, SaMapper,
-    SaParams, SearchStrategy, StrategySpec,
+    anneal_chain, ConstructiveStrategy, GuidanceLabels, LabelSaMapper, SaMapper, SaParams,
+    SearchStrategy, StrategySpec,
 };
 
 /// The paper's Fig. 4 DFG (A..J, dense region around B) — the running
@@ -83,7 +82,8 @@ fn main() {
     // make needlessly heavy (a 32×32 table alone is 2 MiB, rebuilt per
     // interconnect change) and record the index footprint as metrics,
     // alongside the movement throughput the annealer sustains there. The
-    // end-to-end map uses the greedy mapper: its producer-adjacent
+    // end-to-end map uses the list scheduler (the constructive mapper
+    // behind `lisa-map --mapper greedy`): its producer-adjacent
     // placement stays compact regardless of fabric size, whereas the
     // annealer's fixed iteration budget cannot pull a random scatter
     // over 1024 PEs back together.
@@ -113,8 +113,7 @@ fn main() {
             ));
         });
         suite.bench(&format!("e2e/doitgen_{key}/greedy"), || {
-            let mut greedy = GreedyMapper::new(GreedyParams::default());
-            let outcome = IiSearch { max_ii: Some(8) }.run(&mut greedy, &doitgen, &big);
+            let outcome = IiSearch { max_ii: Some(8) }.run(&ConstructiveStrategy, &doitgen, &big);
             assert!(outcome.mapped(), "doitgen must map on {key}");
             std::hint::black_box(outcome);
         });
@@ -127,9 +126,9 @@ fn main() {
     // as metrics, so the reduction is machine-checkable from
     // `target/bench`; the timing pair measures the wall-clock effect.
     let recorder = Arc::new(MovementRecorder::new());
-    let mut observed = SaMapper::new(SaParams::fast(), 42)
+    let observed = SaMapper::new(SaParams::fast(), 42)
         .with_observer(EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>));
-    let _ = IiSearch { max_ii: Some(4) }.run(&mut observed, &fig4, &acc3);
+    let _ = IiSearch { max_ii: Some(4) }.run(&observed, &fig4, &acc3);
     let (predictor, _) = MovementPredictor::train(
         &recorder.snapshot(),
         &TrainConfig {
@@ -171,21 +170,22 @@ fn main() {
         ));
     });
 
-    // Portfolio: one full map_at_ii on Fig. 4 per iteration. chains=1 is
-    // the historical single-chain annealer; chains=4 runs four seeds and
-    // keeps the best — same result for any worker count, so the bench
-    // fixes parallelism at the machine default.
+    // Lane race: one full II search on Fig. 4 per iteration. chains1 is
+    // the lone annealing chain; chains4 races four seeded `sa` lanes in
+    // lane order on this thread and keeps the best, so it measures the
+    // sequential cost of four lanes, not a parallel speedup.
+    let sa_lanes = |chains: usize| StrategySpec::parse(&vec!["sa"; chains].join(",")).unwrap();
     for chains in [1usize, 4] {
-        let portfolio = PortfolioParams::new(chains);
+        let lanes = sa_lanes(chains);
         suite.bench(&format!("portfolio/fig4_3x3/chains{chains}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 42).with_portfolio(portfolio);
-            std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&mut sa, &fig4, &acc3));
+            let sa = SaMapper::new(SaParams::fast(), 42).with_strategy(lanes.clone());
+            std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&sa, &fig4, &acc3));
         });
     }
 
-    // Strategy portfolio A/B (same shape as the filter A/B above): arm A
-    // is the homogeneous SA portfolio, arm B the mixed heterogeneous one
-    // (constructive + SA + evolutionary lanes). The sweep interleaves the
+    // Strategy A/B (same shape as the filter A/B above): arm A races two
+    // SA lanes (`sa,sa`), arm B the mixed heterogeneous lane list
+    // (constructive + SA + evolutionary). The sweep interleaves the
     // arms per kernel across the fig9 4x4 suite at II 8, so machine drift
     // lands on both arms equally, and counts which lane wins each kernel
     // in arm B from the StrategyLaneWon events. Win counts, mapped
@@ -203,10 +203,9 @@ fn main() {
     let (mut mapped_sa, mut mapped_mixed) = (0u64, 0u64);
     let (mut wins_constructive, mut wins_sa, mut wins_evolutionary) = (0u64, 0u64, 0u64);
     for dfg in &fig9 {
-        let mut a = SaMapper::new(SaParams::fast(), 7).with_portfolio(PortfolioParams::new(2));
+        let a = SaMapper::new(SaParams::fast(), 7).with_strategy(sa_lanes(2));
         mapped_sa += u64::from(a.map_at_ii(dfg, &acc, 8).is_some());
-        let mut b = SaMapper::new(SaParams::fast(), 7)
-            .with_portfolio(PortfolioParams::new(2))
+        let b = SaMapper::new(SaParams::fast(), 7)
             .with_strategy(mixed_spec.clone())
             .with_observer(sink.clone());
         mapped_mixed += u64::from(b.map_at_ii(dfg, &acc, 8).is_some());
@@ -261,25 +260,18 @@ fn main() {
         "calls",
     );
 
-    for (tag, spec) in [
-        ("sa", StrategySpec::default()),
-        ("mixed", mixed_spec.clone()),
-    ] {
+    for (tag, spec) in [("sa", sa_lanes(2)), ("mixed", mixed_spec.clone())] {
         suite.bench(&format!("strategy/doitgen_4x4/{tag}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 7)
-                .with_portfolio(PortfolioParams::new(2))
-                .with_strategy(spec.clone());
+            let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(sa.map_at_ii(&doitgen, &acc, 3));
         });
     }
-    for (tag, spec) in [("sa", StrategySpec::default()), ("mixed", mixed_spec)] {
+    for (tag, spec) in [("sa", sa_lanes(2)), ("mixed", mixed_spec)] {
         let fig9 = &fig9;
         suite.bench_heavy(&format!("strategy/fig9_4x4/{tag}"), || {
             for dfg in fig9 {
-                let mut sa = SaMapper::new(SaParams::fast(), 7)
-                    .with_portfolio(PortfolioParams::new(2))
-                    .with_strategy(spec.clone());
-                std::hint::black_box(search.run(&mut sa, dfg, &acc));
+                let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
+                std::hint::black_box(search.run(&sa, dfg, &acc));
             }
         });
     }
@@ -289,34 +281,34 @@ fn main() {
         let mut seed = 0;
         suite.bench_heavy(&format!("sa/{name}"), || {
             seed += 1;
-            let mut sa = SaMapper::new(SaParams::fast(), seed);
-            std::hint::black_box(search.run(&mut sa, &dfg, &acc));
+            let sa = SaMapper::new(SaParams::fast(), seed);
+            std::hint::black_box(search.run(&sa, &dfg, &acc));
         });
         let mut seed = 0;
         suite.bench_heavy(&format!("lisa_initial_labels/{name}"), || {
             seed += 1;
             let labels = GuidanceLabels::initial(&dfg);
-            let mut lisa = LabelSaMapper::new(labels, SaParams::fast(), seed);
-            std::hint::black_box(search.run(&mut lisa, &dfg, &acc));
+            let lisa = LabelSaMapper::new(labels, SaParams::fast(), seed);
+            std::hint::black_box(search.run(&lisa, &dfg, &acc));
         });
     }
 
-    // Portfolio speedup at realistic scale: 4-chain portfolio vs. the
-    // single chain on a polybench kernel (heavy tier).
+    // Lane race at realistic scale: four `sa` lanes vs. the lone chain
+    // on a polybench kernel (heavy tier).
     let doitgen = polybench::kernel("doitgen").unwrap();
     for chains in [1usize, 4] {
-        let portfolio = PortfolioParams::new(chains);
+        let lanes = sa_lanes(chains);
         suite.bench_heavy(&format!("portfolio/doitgen_4x4/chains{chains}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 7).with_portfolio(portfolio);
-            std::hint::black_box(search.run(&mut sa, &doitgen, &acc));
+            let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(lanes.clone());
+            std::hint::black_box(search.run(&sa, &doitgen, &acc));
         });
     }
 
     // The exact mapper only on the smallest kernel (it is the slow one).
     let dfg = polybench::kernel("doitgen").unwrap();
     suite.bench_heavy("ilp/doitgen", || {
-        let mut ilp = ExactMapper::new(ExactParams::fast());
-        std::hint::black_box(search.run(&mut ilp, &dfg, &acc));
+        let ilp = ExactMapper::new(ExactParams::fast());
+        std::hint::black_box(search.run(&ilp, &dfg, &acc));
     });
 
     suite.finish();

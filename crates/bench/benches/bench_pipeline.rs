@@ -7,12 +7,13 @@ use lisa_arch::Accelerator;
 use lisa_bench::timing::Suite;
 use lisa_core::{LisaConfig, Pipeline};
 use lisa_dfg::text::{parse_dfg_set, write_dfg_set};
-use lisa_dfg::{random, RandomDfgConfig};
+use lisa_dfg::{random, same_level, RandomDfgConfig};
 use lisa_labels::{parse_dataset, write_dataset, Dataset, DatasetEntry, GeneratedLabels};
 use lisa_mapper::GuidanceLabels;
 
-/// A labelled dataset with hand-built labels: exercises the serializer
-/// shape without paying for real label generation.
+/// A labelled dataset with hand-built labels (same-level values on the
+/// DFG's own dummy edges, as the parser requires): exercises the
+/// serializer shape without paying for real label generation.
 fn synthetic_dataset(dfgs: &[lisa_dfg::Dfg]) -> Dataset {
     let entries: Vec<DatasetEntry> = dfgs
         .iter()
@@ -24,7 +25,11 @@ fn synthetic_dataset(dfgs: &[lisa_dfg::Dfg]) -> Dataset {
                 outcome: Some(GeneratedLabels {
                     labels: GuidanceLabels {
                         schedule_order: (0..nodes).map(|i| i as f64 * 0.5).collect(),
-                        same_level: Vec::new(),
+                        same_level: same_level::dummy_edges(dfg)
+                            .iter()
+                            .enumerate()
+                            .map(|(i, d)| (d.a, d.b, 1.0 + (i % 4) as f64))
+                            .collect(),
                         spatial: (0..edges).map(|i| (i % 3) as f64).collect(),
                         temporal: (0..edges).map(|i| 1.0 + (i % 2) as f64).collect(),
                     },

@@ -43,7 +43,7 @@ pub struct MapRequest {
     pub seed: u64,
     /// II-search cap.
     pub max_ii: u32,
-    /// Lane mix of the mapping portfolio. Part of the determinism
+    /// Lane list raced at each II. Part of the determinism
     /// contract (it selects which search trajectories run), so part of
     /// the key. Documents without a `strategy` line parse as the
     /// default (`sa`), and `canonical_text` always writes the line, so
@@ -331,5 +331,29 @@ mod tests {
         listed.strategy = StrategySpec::parse("constructive,sa,evolutionary").unwrap();
         assert_eq!(mixed.cache_key(), listed.cache_key());
         assert_ne!(mixed.cache_key(), base.cache_key());
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Restart-surviving disk caches are keyed by these hashes: any
+        // change to the canonical text (the strategy line included)
+        // orphans every stored entry. Captured before `StrategySpec`
+        // became a plain lane list.
+        let base = sample();
+        let legacy = base.canonical_text().replace("strategy sa\n", "");
+        assert_eq!(
+            MapRequest::parse(&legacy).unwrap().cache_key_hex(),
+            "b5ecbfff075debf7"
+        );
+        for (spec, key) in [
+            ("sa", "b5ecbfff075debf7"),
+            ("mixed", "d5c9945222430ac3"),
+            ("constructive", "3b8a5710b8958a36"),
+            ("sa,sa", "ddc073e11188e6b1"),
+        ] {
+            let mut req = base.clone();
+            req.strategy = StrategySpec::parse(spec).unwrap();
+            assert_eq!(req.cache_key_hex(), key, "strategy `{spec}`");
+        }
     }
 }

@@ -87,12 +87,8 @@ impl TrainingSet {
         });
 
         // Dummy edges come back in the same canonical order the labels use
-        // (both derive from `same_level::dummy_edges`).
-        debug_assert_eq!(attrs.dummy_edges.len(), labels.same_level.len());
-        for (i, (d, &(a, b, target))) in
-            attrs.dummy_edges.iter().zip(&labels.same_level).enumerate()
-        {
-            debug_assert_eq!((d.a, d.b), (a, b), "dummy edge order mismatch");
+        // (both derive from `same_level::dummy_edges`; `matches` checks it).
+        for (i, &(_, _, target)) in labels.same_level.iter().enumerate() {
             self.same_level.push(EdgeSample {
                 attrs: attrs.dummy[i].clone(),
                 target,
@@ -149,7 +145,8 @@ pub enum DatasetParseError {
     },
     /// An embedded DFG block failed to parse.
     Dfg(ParseDfgError),
-    /// A `labels` section disagreed with its DFG's node/edge counts.
+    /// A `labels` section disagreed with its DFG's node/edge counts, or
+    /// its same-level pairs were not the DFG's dummy edges in order.
     LabelShapeMismatch {
         /// Index of the offending entry.
         entry: usize,
@@ -835,6 +832,30 @@ mod format_tests {
             parse_dataset(&mutated),
             Err(DatasetParseError::LabelShapeMismatch { entry: 0 })
         ));
+    }
+
+    #[test]
+    fn foreign_same_level_pairs_rejected() {
+        let ds = sample_dataset(3, 1);
+        let text = write_dataset(&ds);
+        let sl: Vec<&str> = text.lines().filter(|l| l.starts_with("sl ")).collect();
+        assert!(sl.len() >= 2, "sample needs two same-level pairs");
+        // `sl <a> <b> <value>`
+        let parts: Vec<&str> = sl[0].split(' ').collect();
+        let out_of_range = format!("sl 999 {} {}", parts[2], parts[3]);
+        let self_pair = format!("sl {} {} {}", parts[1], parts[1], parts[3]);
+        let swapped = format!("{}\n{}", sl[1], sl[0]);
+        for mutated in [
+            text.replacen(sl[0], &out_of_range, 1),
+            text.replacen(&format!("{}\n{}", sl[0], sl[1]), &swapped, 1),
+            text.replacen(sl[0], &self_pair, 1),
+        ] {
+            assert_ne!(mutated, text);
+            assert!(matches!(
+                parse_dataset(&mutated),
+                Err(DatasetParseError::LabelShapeMismatch { entry: 0 })
+            ));
+        }
     }
 
     #[test]

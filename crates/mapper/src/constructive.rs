@@ -1,34 +1,38 @@
-//! LOCAL-style constructive lane: a low-complexity one-pass mapper.
+//! LOCAL-style constructive mapping: the crate's one list scheduler.
 //!
 //! "LOCAL: Low-Complex Mapping Algorithm for Spatial DNN Accelerators"
 //! (PAPERS.md) observes that a large share of real kernels need no
 //! search at all: a single greedy placement sweep in a good priority
 //! order, followed by one routing pass, already lands a valid mapping.
-//! This lane implements that regime check for the portfolio. It is the
-//! cheapest lane by orders of magnitude — it invokes the router about
-//! once per edge, where one annealing chain invokes it thousands of
-//! times — so [`crate::strategy::race_lanes`] runs it inline before any
-//! stochastic lane spawns, and a complete constructive mapping wins the
-//! race outright.
+//! [`ConstructiveStrategy`] implements that pass in two roles:
+//!
+//! * as a **lane** ([`SearchStrategy`]) it is the cheapest by orders of
+//!   magnitude — it invokes the router about once per edge, where one
+//!   annealing chain invokes it thousands of times — so the lane race
+//!   runs it before any stochastic lane, and a complete constructive
+//!   mapping wins outright;
+//! * as a **mapper** ([`IiMapper`]) under [`crate::IiSearch`] it is the
+//!   deterministic list-scheduling baseline of the paper's taxonomy
+//!   (§I: hybrid heuristics that schedule greedily with architectural
+//!   cost functions), behind `lisa-map --mapper greedy`.
 //!
 //! When the one-pass mapping is *incomplete*, the partial result is not
 //! wasted: [`crate::evolutionary::EvolutionaryStrategy`] seeds its first
 //! individual from [`construct`], giving the population an incumbent
 //! bound that a random initial placement rarely matches.
 //!
-//! The lane is fully deterministic — no RNG is drawn anywhere — so one
-//! lane instance is all a portfolio ever needs
-//! ([`crate::StrategySpec::expand`] collapses homogeneous constructive
-//! specs to a single lane).
+//! The pass is fully deterministic — no RNG is drawn anywhere — so one
+//! constructive lane is all a lane list ever needs.
 
 use std::cmp::Reverse;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{Dfg, NodeId};
-use lisa_events::{EventSink, PipelineEvent};
+use lisa_events::EventSink;
 
 use crate::predictor::{FilterStats, MovementScorer};
 use crate::sa::candidate_slots;
+use crate::schedule::IiMapper;
 use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
@@ -38,11 +42,12 @@ use crate::Mapping;
 /// at a small constant multiple of one pass.
 const REPAIR_PASSES: usize = 2;
 
-/// Height-based list order shared with the greedy mapper: long downward
-/// paths first, ties broken by ASAP level then node id. Height is folded
-/// in decreasing-ASAP order — every data successor sits at a strictly
-/// higher ASAP level than its predecessor, so this is a valid reverse
-/// topological sweep without materializing a topological order.
+/// Height-based list order — the classic modulo-scheduling priority:
+/// long downward paths first, ties broken by ASAP level then node id.
+/// Height is folded in decreasing-ASAP order — every data successor sits
+/// at a strictly higher ASAP level than its predecessor, so this is a
+/// valid reverse topological sweep without materializing a topological
+/// order.
 fn priority_order(m: &Mapping<'_>) -> Vec<NodeId> {
     let dfg = m.dfg();
     let mut by_asap: Vec<NodeId> = dfg.node_ids().collect();
@@ -158,14 +163,14 @@ pub(crate) fn construct<'a>(
     Some((mapping, stats))
 }
 
-/// The constructive lane. See the module docs; [`SearchStrategy::run`]
-/// returns `Some` only when the one-pass construction (plus bounded
-/// repair) lands a complete mapping.
+/// The constructive pass as a lane and as a mapper. See the module
+/// docs; both roles return `Some` only when the one-pass construction
+/// (plus bounded repair) lands a complete mapping.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstructiveStrategy;
 
 impl ConstructiveStrategy {
-    /// Creates the lane (it has no parameters).
+    /// Creates the pass (it has no parameters).
     pub fn new() -> Self {
         ConstructiveStrategy
     }
@@ -190,36 +195,30 @@ impl SearchStrategy for ConstructiveStrategy {
         sink: &EventSink,
         _filter: Option<&dyn MovementScorer>,
     ) -> (Option<Mapping<'a>>, FilterStats) {
-        let (mapping, stats) = match construct(dfg, acc, ii) {
-            Some((m, s)) => (m, s),
-            None => return (None, FilterStats::default()),
+        let Some((mapping, stats)) = construct(dfg, acc, ii) else {
+            return (None, FilterStats::default());
         };
-        if sink.is_active() {
-            sink.emit(PipelineEvent::SaFilterSummary {
-                chain: lane,
-                ii,
-                proposals: stats.proposals,
-                admitted: stats.admitted,
-                rejected: stats.rejected,
-                audited: stats.audited,
-                false_rejects: stats.false_rejects,
-                router_invocations: stats.router_invocations,
-                audit_router_invocations: stats.audit_router_invocations,
-            });
-        }
-        if mapping.is_complete() {
-            (Some(mapping), stats)
-        } else {
-            (None, stats)
-        }
+        stats.emit_summary(sink, lane, ii);
+        (mapping.is_complete().then_some(mapping), stats)
+    }
+}
+
+impl IiMapper for ConstructiveStrategy {
+    fn name(&self) -> &str {
+        "Constructive"
+    }
+
+    fn map_at_ii<'a>(&self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Option<Mapping<'a>> {
+        let (mapping, _) = construct(dfg, acc, ii)?;
+        mapping.is_complete().then_some(mapping)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::IiSearch;
     use lisa_dfg::polybench;
-    use lisa_events::EventSink;
 
     #[test]
     fn construct_is_deterministic_and_verifies_when_complete() {
@@ -273,5 +272,81 @@ mod tests {
         let tiny = Accelerator::cgra("1x1", 1, 1);
         let (none, _) = lane.run(&dfg, &tiny, 1, 0, 0, &sink, None);
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn priority_order_is_topological_within_levels() {
+        let dfg = polybench::kernel("gemm").unwrap();
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let m = Mapping::new(&dfg, &acc, 4).unwrap();
+        let order = priority_order(&m);
+        for w in order.windows(2) {
+            assert!(m.asap_level(w[0]) <= m.asap_level(w[1]));
+        }
+    }
+
+    /// Per-kernel IIs of the constructive mapper under the II search on
+    /// the 4x4 (max II 16), in `polybench::KERNEL_NAMES` order. Every
+    /// entry is at or below what the historical backtracking list
+    /// scheduler reached (EXPERIMENTS.md has the 3x3–32x32 table).
+    const II_4X4: [(&str, u32); 12] = [
+        ("atax", 4),
+        ("bicg", 4),
+        ("gemm", 4),
+        ("gesummv", 5),
+        ("mvt", 5),
+        ("symm", 8),
+        ("syrk", 4),
+        ("syr2k", 10),
+        ("trmm", 7),
+        ("doitgen", 3),
+        ("2mm", 7),
+        ("3mm", 5),
+    ];
+
+    #[test]
+    fn maps_every_polybench_kernel_on_4x4_at_the_pinned_ii() {
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let search = IiSearch { max_ii: Some(16) };
+        for (name, ii) in II_4X4 {
+            let dfg = polybench::kernel(name).unwrap();
+            let (outcome, mapping) = search.run_with_mapping(&ConstructiveStrategy, &dfg, &acc);
+            assert_eq!(outcome.ii, Some(ii), "{name}");
+            assert_eq!(outcome.mapper, "Constructive");
+            mapping.unwrap().verify().unwrap();
+        }
+    }
+
+    #[test]
+    fn mapper_is_deterministic() {
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let dfg = polybench::kernel("gemm").unwrap();
+        let a = ConstructiveStrategy.map_at_ii(&dfg, &acc, 4);
+        let b = ConstructiveStrategy.map_at_ii(&dfg, &acc, 4);
+        assert!(a.is_some(), "gemm maps at its pinned II");
+        assert_eq!(a.map(|m| format!("{m:?}")), b.map(|m| format!("{m:?}")));
+    }
+
+    #[test]
+    fn mapper_respects_infeasible_ii() {
+        let mut g = Dfg::new("five");
+        for i in 0..5 {
+            g.add_node(lisa_dfg::OpKind::Add, format!("n{i}"));
+        }
+        let acc = Accelerator::cgra("1x1", 1, 1);
+        assert!(ConstructiveStrategy.map_at_ii(&g, &acc, 2).is_none());
+    }
+
+    #[test]
+    fn mapper_is_fast() {
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let dfg = polybench::kernel("syr2k").unwrap();
+        let start = std::time::Instant::now();
+        let _ = IiSearch { max_ii: Some(16) }.run(&ConstructiveStrategy, &dfg, &acc);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "constructive II search took {:?}",
+            start.elapsed()
+        );
     }
 }

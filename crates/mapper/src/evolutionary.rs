@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::Dfg;
-use lisa_events::{EventSink, PipelineEvent};
+use lisa_events::EventSink;
 use lisa_rng::Rng;
 
 use crate::constructive::construct;
@@ -42,16 +42,16 @@ use crate::Mapping;
 
 /// Population shape of the evolutionary lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvoParams {
+struct EvoParams {
     /// Individuals per generation.
-    pub population: usize,
+    population: usize,
     /// Survivors copied unchanged into the next generation (the best
     /// `elite` by `(cost, index)`).
-    pub elite: usize,
+    elite: usize,
     /// [`movement`] mutations applied to each child per generation.
-    pub mutations_per_child: u32,
+    mutations_per_child: u32,
     /// Generation budget.
-    pub generations: u32,
+    generations: u32,
 }
 
 impl EvoParams {
@@ -60,7 +60,7 @@ impl EvoParams {
     /// `moves_per_temp`, levels counted by replaying the cooling loop —
     /// no floating-point log) divided across the population's mutations,
     /// clamped to a sane generation range.
-    pub fn from_sa(sa: &SaParams) -> Self {
+    fn from_sa(sa: &SaParams) -> Self {
         let population = 6;
         let mutations_per_child = 4;
         let mut levels: u64 = 0;
@@ -93,16 +93,6 @@ impl EvolutionaryStrategy {
     pub fn new(sa: SaParams) -> Self {
         let evo = EvoParams::from_sa(&sa);
         EvolutionaryStrategy { sa, evo }
-    }
-
-    /// A lane with an explicit population shape.
-    pub fn with_params(sa: SaParams, evo: EvoParams) -> Self {
-        EvolutionaryStrategy { sa, evo }
-    }
-
-    /// The derived population shape.
-    pub fn params(&self) -> &EvoParams {
-        &self.evo
     }
 
     /// The best complete individual by `(cost, index)`, if any.
@@ -283,19 +273,7 @@ impl SearchStrategy for EvolutionaryStrategy {
     ) -> (Option<Mapping<'a>>, FilterStats) {
         let mut fstats = FilterStats::default();
         let result = self.run_inner(dfg, acc, ii, seed, filter, &mut fstats);
-        if sink.is_active() {
-            sink.emit(PipelineEvent::SaFilterSummary {
-                chain: lane,
-                ii,
-                proposals: fstats.proposals,
-                admitted: fstats.admitted,
-                rejected: fstats.rejected,
-                audited: fstats.audited,
-                false_rejects: fstats.false_rejects,
-                router_invocations: fstats.router_invocations,
-                audit_router_invocations: fstats.audit_router_invocations,
-            });
-        }
+        fstats.emit_summary(sink, lane, ii);
         (result, fstats)
     }
 }

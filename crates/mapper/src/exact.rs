@@ -165,12 +165,7 @@ impl IiMapper for ExactMapper {
         "ILP"
     }
 
-    fn map_at_ii<'a>(
-        &mut self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-    ) -> Option<Mapping<'a>> {
+    fn map_at_ii<'a>(&self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Option<Mapping<'a>> {
         let mut mapping = Mapping::new(dfg, acc, ii).ok()?;
         let order = dfg
             .topological_order()
@@ -209,7 +204,7 @@ mod tests {
     fn exact_maps_diamond_at_mii() {
         let dfg = diamond();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut ilp = ExactMapper::new(ExactParams::fast());
+        let ilp = ExactMapper::new(ExactParams::fast());
         let target = mii(&dfg, &acc);
         let m = ilp.map_at_ii(&dfg, &acc, target).expect("diamond maps");
         assert!(m.is_complete());
@@ -226,8 +221,8 @@ mod tests {
             g.add_data_edge(n0, n).ok();
         }
         let acc = Accelerator::cgra("1x2", 1, 2);
-        let mut ilp = ExactMapper::new(ExactParams::fast());
-        let outcome = IiSearch::default().run(&mut ilp, &g, &acc);
+        let ilp = ExactMapper::new(ExactParams::fast());
+        let outcome = IiSearch::default().run(&ilp, &g, &acc);
         assert_eq!(outcome.ii, Some(3));
     }
 
@@ -239,7 +234,7 @@ mod tests {
         let b = g.add_node(OpKind::Add, "b");
         g.add_data_edge(a, b).unwrap();
         let acc = Accelerator::cgra("1x1", 1, 1);
-        let mut ilp = ExactMapper::new(ExactParams::fast());
+        let ilp = ExactMapper::new(ExactParams::fast());
         assert!(ilp.map_at_ii(&g, &acc, 1).is_none());
     }
 
@@ -260,7 +255,7 @@ mod tests {
         // A graph big enough that 1 state cannot solve it.
         let dfg = lisa_dfg::polybench::kernel("syr2k").unwrap();
         let acc = Accelerator::cgra("4x4", 4, 4);
-        let mut ilp = ExactMapper::new(ExactParams {
+        let ilp = ExactMapper::new(ExactParams {
             time_limit: Duration::from_millis(1),
             max_states: 10,
         });
@@ -277,7 +272,7 @@ mod tests {
         g.add_data_edge(x, s).unwrap();
         g.add_recurrence_edge(x, x, 1).unwrap();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut ilp = ExactMapper::new(ExactParams::fast());
+        let ilp = ExactMapper::new(ExactParams::fast());
         let m = ilp.map_at_ii(&g, &acc, 1).expect("self-accumulation maps");
         m.verify().unwrap();
     }

@@ -18,13 +18,10 @@
 
 use lisa_rng::Rng;
 
-use lisa_arch::{Accelerator, PeId};
+use lisa_arch::PeId;
 use lisa_dfg::{analysis, same_level, Dfg, EdgeId, NodeId};
-use lisa_events::EventSink;
 
-use crate::portfolio::PortfolioParams;
-use crate::sa::{MoveStats, SaParams, SaPolicy, VanillaPolicy};
-use crate::schedule::IiMapper;
+use crate::sa::{Annealer, Guidance, MoveStats, SaParams, SaPolicy, VanillaPolicy};
 use crate::Mapping;
 
 /// The four mapping-guidance labels of paper Table I, in the exact form
@@ -72,11 +69,21 @@ impl GuidanceLabels {
         }
     }
 
-    /// Validates shape agreement with a DFG.
+    /// Validates shape agreement with a DFG: one schedule order per node,
+    /// one spatial and temporal distance per edge, and same-level pairs
+    /// that are exactly the DFG's dummy edges in their canonical order.
     pub fn matches(&self, dfg: &Dfg) -> bool {
         self.schedule_order.len() == dfg.node_count()
             && self.spatial.len() == dfg.edge_count()
             && self.temporal.len() == dfg.edge_count()
+            && {
+                let dummies = same_level::dummy_edges(dfg);
+                dummies.len() == self.same_level.len()
+                    && dummies
+                        .iter()
+                        .zip(&self.same_level)
+                        .all(|(d, &(a, b, _))| (d.a, d.b) == (a, b))
+            }
     }
 
     /// Routing priority of a node: the sum of temporal mapping distances
@@ -93,7 +100,7 @@ impl GuidanceLabels {
 
 /// Which parts of the label guidance are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LabelMode {
+enum LabelMode {
     /// Full Algorithm 1 (placement order, placement cost, routing order).
     Full,
     /// Only label 4's routing priority on top of vanilla SA — the
@@ -105,37 +112,23 @@ pub enum LabelMode {
     InitialOnly,
 }
 
-/// Parameters specific to the label-aware mapper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LabelSaConfig {
-    /// α of the deviation schedule σ = max{1, α·T − Acc}.
-    pub alpha: f64,
-    /// Which label-guidance mode to run.
-    pub mode: LabelMode,
-}
+/// α of the deviation schedule σ = max{1, α·T − Acc} (Algorithm 1 line 7).
+const ALPHA: f64 = 0.05;
 
-impl Default for LabelSaConfig {
-    fn default() -> Self {
-        LabelSaConfig {
-            alpha: 0.05,
-            mode: LabelMode::Full,
-        }
-    }
-}
-
-/// The label-aware policy implementing Algorithm 1's decision points.
-struct LabelPolicy<'l> {
+/// The label-aware policy implementing Algorithm 1's decision points;
+/// [`LabelGuidance`] builds one per annealing lane.
+pub struct LabelPolicy<'l> {
     labels: &'l GuidanceLabels,
-    config: LabelSaConfig,
+    mode: LabelMode,
     /// Same-level partners per node, precomputed for the placement cost.
     partners: Vec<Vec<(NodeId, f64)>>,
     /// Whether the annealer is past the initial mapping (used by
-    /// [`LabelMode::InitialOnly`]).
+    /// `LabelMode::InitialOnly`).
     initial_done: std::cell::Cell<bool>,
 }
 
 impl<'l> LabelPolicy<'l> {
-    fn new(labels: &'l GuidanceLabels, config: LabelSaConfig, dfg: &Dfg) -> Self {
+    fn new(labels: &'l GuidanceLabels, mode: LabelMode, dfg: &Dfg) -> Self {
         let mut partners = vec![Vec::new(); dfg.node_count()];
         for &(a, b, d) in &labels.same_level {
             partners[a.index()].push((b, d));
@@ -143,7 +136,7 @@ impl<'l> LabelPolicy<'l> {
         }
         LabelPolicy {
             labels,
-            config,
+            mode,
             partners,
             initial_done: std::cell::Cell::new(false),
         }
@@ -201,7 +194,7 @@ impl<'l> LabelPolicy<'l> {
     }
 
     fn label_guided(&self) -> bool {
-        match self.config.mode {
+        match self.mode {
             LabelMode::Full => true,
             LabelMode::RoutingPriorityOnly => false,
             LabelMode::InitialOnly => !self.initial_done.get(),
@@ -244,8 +237,7 @@ impl SaPolicy for LabelPolicy<'_> {
             .collect();
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
         // σ = max{1, α·T − Acc}: low acceptance widens the distribution.
-        let sigma =
-            (self.config.alpha * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
+        let sigma = (ALPHA * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
         let draw = sample_normal(rng).abs() * sigma;
         let idx = (draw.floor() as usize).min(order.len() - 1);
         order[idx].1
@@ -253,7 +245,7 @@ impl SaPolicy for LabelPolicy<'_> {
 
     fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
         let dfg = mapping.dfg();
-        match self.config.mode {
+        match self.mode {
             LabelMode::InitialOnly if self.initial_done.get() => {
                 VanillaPolicy.order_edges(mapping, edges);
             }
@@ -276,7 +268,7 @@ impl SaPolicy for LabelPolicy<'_> {
         }
         // The first full pass over the edges marks the end of the initial
         // mapping for InitialOnly mode.
-        if self.config.mode == LabelMode::InitialOnly {
+        if self.mode == LabelMode::InitialOnly {
             self.initial_done.set(true);
         }
     }
@@ -287,6 +279,25 @@ fn sample_normal(rng: &mut Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// The labels and guidance mode behind a [`LabelSaMapper`].
+#[derive(Debug, Clone)]
+pub struct LabelGuidance {
+    labels: GuidanceLabels,
+    mode: LabelMode,
+}
+
+impl Guidance for LabelGuidance {
+    type Policy<'g> = LabelPolicy<'g>;
+
+    fn policy<'g>(&'g self, dfg: &Dfg) -> LabelPolicy<'g> {
+        assert!(
+            self.labels.matches(dfg),
+            "labels do not match the DFG shape"
+        );
+        LabelPolicy::new(&self.labels, self.mode, dfg)
+    }
 }
 
 /// The label-aware simulated-annealing mapper (LISA's mapping stage).
@@ -311,157 +322,49 @@ fn sample_normal(rng: &mut Rng) -> f64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct LabelSaMapper {
-    labels: GuidanceLabels,
-    params: SaParams,
-    config: LabelSaConfig,
-    seed: u64,
-    name: String,
-    portfolio: PortfolioParams,
-    strategy: crate::strategy::StrategySpec,
-    sink: EventSink,
-    filter: Option<std::sync::Arc<dyn crate::predictor::MovementScorer>>,
-}
+pub type LabelSaMapper = Annealer<LabelGuidance>;
 
 impl LabelSaMapper {
-    /// Creates a full label-aware mapper (Algorithm 1).
+    /// Creates a full label-aware mapper (Algorithm 1), named "LISA".
     pub fn new(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
-        LabelSaMapper {
-            labels,
-            params,
-            config: LabelSaConfig::default(),
-            seed,
-            name: "LISA".to_string(),
-            portfolio: PortfolioParams::sequential(),
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
+        Self::with_mode(labels, LabelMode::Full, "LISA", params, seed)
     }
 
-    /// Creates the routing-priority-only ablation of Fig. 12.
+    /// Creates the routing-priority-only ablation of Fig. 12, named
+    /// "SA+RP".
     pub fn routing_priority_only(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
-        LabelSaMapper {
+        Self::with_mode(
             labels,
+            LabelMode::RoutingPriorityOnly,
+            "SA+RP",
             params,
-            config: LabelSaConfig {
-                mode: LabelMode::RoutingPriorityOnly,
-                ..LabelSaConfig::default()
-            },
             seed,
-            name: "SA+RP".to_string(),
-            portfolio: PortfolioParams::sequential(),
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
+        )
     }
 
     /// Creates the partial label-aware mapper used during training-data
-    /// generation: labels guide only the initial mapping (§V-B).
+    /// generation: labels guide only the initial mapping (§V-B). Named
+    /// "LISA-partial".
     pub fn initial_only(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
-        LabelSaMapper {
-            labels,
-            params,
-            config: LabelSaConfig {
-                mode: LabelMode::InitialOnly,
-                ..LabelSaConfig::default()
-            },
-            seed,
-            name: "LISA-partial".to_string(),
-            portfolio: PortfolioParams::sequential(),
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
+        Self::with_mode(labels, LabelMode::InitialOnly, "LISA-partial", params, seed)
     }
 
-    /// Runs a portfolio of independently-seeded chains per II and keeps
-    /// the deterministic winner (chain 0 reproduces the single-chain
-    /// mapper, so `chains = 1` is byte-identical to the constructors).
-    pub fn with_portfolio(mut self, portfolio: PortfolioParams) -> Self {
-        self.portfolio = portfolio;
-        self
-    }
-
-    /// Selects the portfolio's lane mix (see [`crate::StrategySpec`]).
-    /// The default, `Homogeneous(Sa)`, is byte-identical to the
-    /// pre-strategy mapper for every configuration.
-    pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Streams per-temperature SA snapshots into `sink`. Events never
-    /// change the trajectory; the null sink restores silence.
-    pub fn with_observer(mut self, sink: EventSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Attaches a predict-then-verify movement filter (see
-    /// [`crate::SaMapper::with_movement_filter`]); all portfolio chains
-    /// share the one immutable scorer.
-    pub fn with_movement_filter(
-        mut self,
-        filter: std::sync::Arc<dyn crate::predictor::MovementScorer>,
+    fn with_mode(
+        labels: GuidanceLabels,
+        mode: LabelMode,
+        name: &'static str,
+        params: SaParams,
+        seed: u64,
     ) -> Self {
-        self.filter = Some(filter);
-        self
-    }
-
-    /// Replaces the labels (e.g. after a fresh GNN prediction).
-    pub fn set_labels(&mut self, labels: GuidanceLabels) {
-        self.labels = labels;
-    }
-
-    /// The active label set.
-    pub fn labels(&self) -> &GuidanceLabels {
-        &self.labels
-    }
-
-    /// The active guidance mode.
-    pub fn mode(&self) -> LabelMode {
-        self.config.mode
-    }
-}
-
-impl IiMapper for LabelSaMapper {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn map_at_ii<'a>(
-        &mut self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-    ) -> Option<Mapping<'a>> {
-        assert!(
-            self.labels.matches(dfg),
-            "labels do not match the DFG shape"
-        );
-        // Each chain gets a fresh policy: `LabelPolicy` carries the
-        // InitialOnly transition flag, which must not leak across chains.
-        crate::strategy::run_spec(
-            &self.strategy,
-            |_chain| LabelPolicy::new(&self.labels, self.config, dfg),
-            &self.params,
-            &self.portfolio,
-            dfg,
-            acc,
-            ii,
-            self.seed,
-            &self.sink,
-            self.filter.as_deref(),
-        )
+        Annealer::guided(LabelGuidance { labels, mode }, name, params, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::IiMapper;
+    use lisa_arch::Accelerator;
     use lisa_dfg::{polybench, OpKind};
 
     #[test]
@@ -495,7 +398,7 @@ mod tests {
         g.add_data_edge(c, d).unwrap();
         let labels = GuidanceLabels::initial(&g);
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut lisa = LabelSaMapper::new(labels, SaParams::fast(), 2);
+        let lisa = LabelSaMapper::new(labels, SaParams::fast(), 2);
         // II 1 leaves no route-through resources on a fully-occupied 2x2;
         // II 2 is the first feasible interval for this 4-node graph.
         let m = (1..=3)
@@ -509,7 +412,7 @@ mod tests {
         let dfg = polybench::kernel("gemm").unwrap();
         let labels = GuidanceLabels::initial(&dfg);
         let acc = Accelerator::cgra("4x4", 4, 4);
-        let mut lisa = LabelSaMapper::new(labels, SaParams::fast(), 4);
+        let lisa = LabelSaMapper::new(labels, SaParams::fast(), 4);
         let mut ok = false;
         for ii in crate::schedule::mii(&dfg, &acc)..=8 {
             if let Some(m) = lisa.map_at_ii(&dfg, &acc, ii) {

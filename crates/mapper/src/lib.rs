@@ -2,20 +2,24 @@
 //!
 //! This crate implements every mapper the LISA paper evaluates:
 //!
-//! * [`sa`] — vanilla simulated annealing in the CGRA-ME style (the paper's
-//!   SA baseline), including the 10×-movement "SA-M" variant of Fig. 13;
-//! * [`label_sa`] — the label-aware simulated annealing of Algorithm 1,
+//! * [`sa`] — the annealer and its one front-end, [`sa::Annealer`],
+//!   generic over its guidance: vanilla simulated annealing in the
+//!   CGRA-ME style ([`SaMapper`], the paper's SA baseline, including the
+//!   10×-movement "SA-M" variant of Fig. 13);
+//! * [`label_sa`] — the label guidance of Algorithm 1 ([`LabelSaMapper`]),
 //!   plus the routing-priority-only ablation of Fig. 12;
 //! * [`exact`] — an exhaustive branch-and-bound mapper standing in for the
 //!   ILP baseline (see DESIGN.md "Substitutions");
-//! * [`greedy`] — a deterministic list-scheduling mapper (the classic
-//!   non-stochastic heuristic class the paper contrasts against);
-//! * [`strategy`] — the [`SearchStrategy`] lane contract and the
-//!   heterogeneous portfolio race ([`StrategySpec`] selects the mix);
+//! * [`constructive`] — a LOCAL-style one-pass list scheduler: the cheap
+//!   lane of every race and, under [`IiSearch`], the deterministic
+//!   list-scheduling baseline (`lisa-map --mapper greedy`);
+//! * [`strategy`] — the [`SearchStrategy`] lane contract and the lane
+//!   race ([`StrategySpec`] is the lane list);
 //! * [`evolutionary`] — a deterministic population mapper with
 //!   journal-transaction crossover;
-//! * [`constructive`] — a LOCAL-style low-complexity one-pass mapper
-//!   that fast-paths easy kernels;
+//! * [`portfolio`] — lane seeding and the result-invariant work
+//!   distributor behind the parallel II waves;
+//! * [`predictor`] — the predict-then-verify movement filter contract;
 //! * [`display`] — time-extended grid rendering of mappings (Fig. 5
 //!   style);
 //! * [`schedule`] — the II search driver shared by all mappers (start at
@@ -35,8 +39,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dfg = polybench::kernel("doitgen")?;
 //! let acc = Accelerator::cgra("4x4", 4, 4);
-//! let mut mapper = SaMapper::new(SaParams::fast(), 7);
-//! let outcome = IiSearch::default().run(&mut mapper, &dfg, &acc);
+//! let mapper = SaMapper::new(SaParams::fast(), 7);
+//! let outcome = IiSearch::default().run(&mapper, &dfg, &acc);
 //! assert!(outcome.ii.is_some(), "doitgen maps on a 4x4 CGRA");
 //! # Ok(())
 //! # }
@@ -47,7 +51,6 @@ pub mod display;
 mod error;
 pub mod evolutionary;
 pub mod exact;
-pub mod greedy;
 pub mod label_sa;
 mod mapping;
 pub mod portfolio;
@@ -59,10 +62,9 @@ pub mod strategy;
 
 pub use constructive::ConstructiveStrategy;
 pub use error::MapperError;
-pub use evolutionary::{EvoParams, EvolutionaryStrategy};
-pub use label_sa::{GuidanceLabels, LabelMode, LabelSaMapper};
+pub use evolutionary::EvolutionaryStrategy;
+pub use label_sa::{GuidanceLabels, LabelSaMapper};
 pub use mapping::{Mapping, Placement, RouteStep};
-pub use portfolio::PortfolioParams;
 pub use predictor::{FilterStats, MovementScorer, MOVEMENT_FEATURE_DIM};
 pub use router::RouterScratch;
 pub use sa::{anneal_chain, SaMapper, SaParams};

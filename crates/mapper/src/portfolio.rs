@@ -1,16 +1,13 @@
-//! Deterministic parallel mapping portfolio.
+//! Deterministic fan-out: lane seeding and the result-invariant work
+//! distributor.
 //!
-//! Runs N independently-seeded annealing chains for the same `(DFG,
-//! accelerator, II)` problem and keeps a winner chosen by
-//! `(success, cost, chain index)`. Every chain's result is joined before
-//! the winner is picked, so the outcome depends only on the seeds — never
-//! on thread count or scheduling. That is the portfolio's determinism
-//! contract: `parallelism` is purely a wall-clock knob, and
-//! `parallelism = 1` is byte-identical to `parallelism = N`.
-//!
-//! The same result-invariant work distributor ([`par_map`]) backs the
-//! parallel II search ([`crate::schedule::IiSearch::run_with_mapping_par`])
-//! and the training-data generator's fan-out across DFGs.
+//! [`par_map`] runs independent jobs on scoped threads and returns their
+//! results in item order, so the output never depends on thread count or
+//! scheduling. It backs the speculative II waves of
+//! [`crate::schedule::IiSearch::run_with_mapping_par`] and the
+//! training-data generator's fan-out across DFGs. `chain_seed` derives
+//! each lane's RNG seed from the lane *index*, which is what makes a
+//! lane race a pure function of the request.
 //!
 //! Threads come from `std::thread::scope` — the workspace is hermetic, so
 //! no rayon.
@@ -18,51 +15,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Portfolio shape: how many chains compete and how many worker threads
-/// execute them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortfolioParams {
-    /// Number of independently-seeded annealing chains per II. Chain 0
-    /// uses the mapper's own seed derivation, so `chains = 1` reproduces
-    /// the single-chain mapper exactly.
-    pub chains: usize,
-    /// Worker threads used to execute chains (and, at the framework
-    /// level, IIs / training DFGs). Affects wall-clock only, never the
-    /// result.
-    pub parallelism: usize,
-}
-
-impl PortfolioParams {
-    /// One chain on one thread: today's sequential behaviour, exactly.
-    pub fn sequential() -> Self {
-        PortfolioParams {
-            chains: 1,
-            parallelism: 1,
-        }
-    }
-
-    /// `chains` chains on all available cores.
-    pub fn new(chains: usize) -> Self {
-        PortfolioParams {
-            chains,
-            parallelism: available_parallelism(),
-        }
-    }
-
-    /// Same chain set on a specific thread count (used by the
-    /// determinism tests to prove thread-count invariance).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-}
-
-impl Default for PortfolioParams {
-    fn default() -> Self {
-        PortfolioParams::sequential()
-    }
-}
 
 /// Number of hardware threads, with a safe floor of 1.
 pub fn available_parallelism() -> usize {
@@ -169,7 +121,8 @@ pub(crate) fn chain_seed(seed: u64, chain: u64, ii: u32) -> u64 {
 mod tests {
     use super::*;
     use crate::sa::{SaMapper, SaParams};
-    use crate::schedule::IiMapper;
+    use crate::schedule::IiSearch;
+    use crate::StrategySpec;
     use lisa_arch::Accelerator;
     use lisa_dfg::{Dfg, OpKind};
 
@@ -251,34 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn single_chain_portfolio_matches_plain_mapper() {
+    fn lane_race_is_ii_wave_thread_count_invariant() {
         let dfg = diamond();
-        let acc = Accelerator::cgra("2x2", 2, 2);
-        let plain = SaMapper::new(SaParams::fast(), 5).map_at_ii(&dfg, &acc, 2);
-        let single = SaMapper::new(SaParams::fast(), 5)
-            .with_portfolio(PortfolioParams::sequential())
-            .map_at_ii(&dfg, &acc, 2);
-        assert_eq!(
-            plain.map(|m| format!("{m:?}")),
-            single.map(|m| format!("{m:?}"))
-        );
-    }
-
-    #[test]
-    fn portfolio_result_is_thread_count_invariant() {
-        let dfg = diamond();
-        let acc = Accelerator::cgra("2x2", 2, 2);
-        let runs: Vec<Option<String>> = [1, 2, 4]
+        let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
+        let mapper = SaMapper::new(SaParams::fast(), 5)
+            .with_strategy(StrategySpec::parse("sa,sa,sa,sa").unwrap());
+        let runs: Vec<(Option<u32>, Option<String>)> = [1, 2, 4]
             .into_iter()
             .map(|threads| {
-                SaMapper::new(SaParams::fast(), 5)
-                    .with_portfolio(PortfolioParams::new(4).with_parallelism(threads))
-                    .map_at_ii(&dfg, &acc, 2)
-                    .map(|m| format!("{m:?}"))
+                let (outcome, m) =
+                    IiSearch::default().run_with_mapping_par(&mapper, &dfg, &acc, threads);
+                (outcome.ii, m.map(|m| format!("{m:?}")))
             })
             .collect();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
-        assert!(runs[0].is_some(), "diamond maps at II 2 on a 2x2");
+        assert!(runs[0].1.is_some(), "diamond maps on a 2x2");
     }
 }

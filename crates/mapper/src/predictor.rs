@@ -18,6 +18,7 @@
 
 use lisa_arch::PeId;
 use lisa_dfg::NodeId;
+use lisa_events::{EventSink, PipelineEvent};
 
 use crate::mapping::Placement;
 use crate::Mapping;
@@ -79,6 +80,25 @@ impl FilterStats {
         self.false_rejects += other.false_rejects;
         self.router_invocations += other.router_invocations;
         self.audit_router_invocations += other.audit_router_invocations;
+    }
+
+    /// Mirrors the counters into `sink` as one
+    /// [`PipelineEvent::SaFilterSummary`] tagged with the lane index and
+    /// II; free with the null sink.
+    pub(crate) fn emit_summary(&self, sink: &EventSink, chain: usize, ii: u32) {
+        if sink.is_active() {
+            sink.emit(PipelineEvent::SaFilterSummary {
+                chain,
+                ii,
+                proposals: self.proposals,
+                admitted: self.admitted,
+                rejected: self.rejected,
+                audited: self.audited,
+                false_rejects: self.false_rejects,
+                router_invocations: self.router_invocations,
+                audit_router_invocations: self.audit_router_invocations,
+            });
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Simulated-annealing mapping: the vanilla SA baseline and the shared
-//! annealing core that the label-aware variant (Algorithm 1) plugs into.
+//! Simulated-annealing mapping: the shared annealing core, the one
+//! annealer front-end ([`Annealer`]), and the vanilla SA baseline
+//! ([`SaMapper`]) that the label-aware variant (Algorithm 1) extends.
 //!
 //! The skeleton follows the paper's description of SA-based approaches
 //! (§III-B): create an initial mapping, then repeatedly *unmap* a few nodes
@@ -7,8 +8,10 @@
 //! temperature-controlled probability to escape local minima. The paper's
 //! SA baseline and LISA differ **only** in three policy points — placement
 //! order, PE-candidate choice, and routing order — so those are factored
-//! into the [`SaPolicy`] trait and everything else is shared.
+//! into the [`SaPolicy`] trait, built per lane by a [`Guidance`], and
+//! everything else is shared.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lisa_rng::Rng;
@@ -20,6 +23,7 @@ use lisa_events::{EventSink, PipelineEvent};
 use crate::mapping::Placement;
 use crate::predictor::{movement_features_into, FilterStats, MovementScorer};
 use crate::schedule::IiMapper;
+use crate::strategy::StrategySpec;
 use crate::Mapping;
 
 /// Tuning parameters of the annealer.
@@ -276,9 +280,8 @@ const STALL_BURST: u32 = 32;
 /// One burst in every `STALL_PERIOD` is unfiltered while stalled.
 const STALL_PERIOD: u32 = 4;
 
-/// The annealing core shared by [`SaMapper`] and
-/// [`crate::LabelSaMapper`]. `chain` tags the emitted
-/// [`PipelineEvent::SaSnapshot`]s with the portfolio chain index; the
+/// The annealing core behind every `sa` lane of [`Annealer`]. `chain`
+/// tags the emitted [`PipelineEvent::SaSnapshot`]s with the lane index; the
 /// null sink makes the instrumentation free. With `filter` attached,
 /// proposals are scored after placement and low scorers are rolled back
 /// without invoking the router (predict-then-verify); with `filter`
@@ -310,19 +313,7 @@ pub(crate) fn anneal<'a, P: SaPolicy>(
         filter,
         &mut fstats,
     );
-    if sink.is_active() {
-        sink.emit(PipelineEvent::SaFilterSummary {
-            chain,
-            ii,
-            proposals: fstats.proposals,
-            admitted: fstats.admitted,
-            rejected: fstats.rejected,
-            audited: fstats.audited,
-            false_rejects: fstats.false_rejects,
-            router_invocations: fstats.router_invocations,
-            audit_router_invocations: fstats.audit_router_invocations,
-        });
-    }
+    fstats.emit_summary(sink, chain, ii);
     (result, fstats)
 }
 
@@ -740,6 +731,46 @@ pub fn movement_throughput(
     improved
 }
 
+/// What steers the annealer's three policy points: nothing
+/// ([`VanillaPolicy`], the paper's SA baseline) or the four labels
+/// ([`crate::label_sa::LabelGuidance`], Algorithm 1). The policy type is
+/// an associated type, so the movement loop stays monomorphized.
+pub trait Guidance: std::fmt::Debug + Clone + Send + Sync {
+    /// The policy one annealing lane runs with.
+    type Policy<'g>: SaPolicy
+    where
+        Self: 'g;
+
+    /// Builds a fresh policy for one lane on `dfg` (policies may hold
+    /// per-run state, which must not leak across lanes).
+    fn policy<'g>(&'g self, dfg: &Dfg) -> Self::Policy<'g>;
+}
+
+impl Guidance for VanillaPolicy {
+    type Policy<'g> = VanillaPolicy;
+
+    fn policy(&self, _dfg: &Dfg) -> VanillaPolicy {
+        VanillaPolicy
+    }
+}
+
+/// The annealing mapper front-end, generic over its [`Guidance`]:
+/// [`SaMapper`] (vanilla) and [`crate::LabelSaMapper`] (labels) share
+/// one set of builders and one [`IiMapper`] impl. Every II attempt races
+/// the lanes of its [`StrategySpec`] (default: one `sa` lane); the
+/// mapper is a pure function of its configuration, seed and `(dfg, acc,
+/// ii)`, so clones may attempt IIs in parallel.
+#[derive(Debug, Clone)]
+pub struct Annealer<G> {
+    guidance: G,
+    params: SaParams,
+    seed: u64,
+    name: &'static str,
+    strategy: StrategySpec,
+    sink: EventSink,
+    filter: Option<Arc<dyn MovementScorer>>,
+}
+
 /// The vanilla simulated-annealing mapper (the paper's SA baseline).
 ///
 /// # Example
@@ -761,92 +792,70 @@ pub fn movement_throughput(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct SaMapper {
-    params: SaParams,
-    seed: u64,
-    name: String,
-    portfolio: crate::portfolio::PortfolioParams,
-    strategy: crate::strategy::StrategySpec,
-    sink: EventSink,
-    filter: Option<std::sync::Arc<dyn MovementScorer>>,
-}
+pub type SaMapper = Annealer<VanillaPolicy>;
 
 impl SaMapper {
-    /// Creates a mapper with the given parameters and RNG seed. Runs a
-    /// single annealing chain; see [`with_portfolio`](Self::with_portfolio).
+    /// Creates a vanilla mapper with the given parameters and RNG seed.
+    /// Named "SA-M" for the 10×-movement schedule of Fig. 13, else "SA".
     pub fn new(params: SaParams, seed: u64) -> Self {
         let name = if params.moves_per_temp >= 10 * SaParams::paper().moves_per_temp {
-            "SA-M".to_string()
+            "SA-M"
         } else {
-            "SA".to_string()
+            "SA"
         };
-        SaMapper {
+        Annealer::guided(VanillaPolicy, name, params, seed)
+    }
+}
+
+impl<G: Guidance> Annealer<G> {
+    /// A mapper with one `sa` lane, no observer, and no filter.
+    pub(crate) fn guided(guidance: G, name: &'static str, params: SaParams, seed: u64) -> Self {
+        Annealer {
+            guidance,
             params,
             seed,
             name,
-            portfolio: crate::portfolio::PortfolioParams::sequential(),
-            strategy: crate::strategy::StrategySpec::default(),
+            strategy: StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
         }
     }
 
-    /// Selects the portfolio's lane mix (see [`crate::StrategySpec`]).
-    /// The default, `Homogeneous(Sa)`, is byte-identical to the
-    /// pre-strategy mapper for every configuration.
-    pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
+    /// Selects the lane list raced at each II (see [`StrategySpec`]).
+    /// The default, one `sa` lane, is the lone annealing chain.
+    pub fn with_strategy(mut self, strategy: StrategySpec) -> Self {
         self.strategy = strategy;
         self
     }
 
-    /// Runs a portfolio of independently-seeded chains per II and keeps the
-    /// deterministic winner. Chain 0 reproduces the single-chain mapper
-    /// exactly, so `chains = 1` is byte-identical to [`new`](Self::new).
-    pub fn with_portfolio(mut self, portfolio: crate::portfolio::PortfolioParams) -> Self {
-        self.portfolio = portfolio;
-        self
-    }
-
-    /// Streams per-temperature [`PipelineEvent::SaSnapshot`]s into `sink`
-    /// (the replacement for the removed `LISA_SA_DEBUG` env var). Events
-    /// never change the trajectory; the null sink restores silence.
+    /// Streams per-temperature [`PipelineEvent::SaSnapshot`]s, movement
+    /// samples, filter summaries and lane wins into `sink`. Events never
+    /// change the trajectory; the null sink restores silence.
     pub fn with_observer(mut self, sink: EventSink) -> Self {
         self.sink = sink;
         self
     }
 
     /// Attaches a predict-then-verify movement filter. One immutable
-    /// scorer is shared by every portfolio chain; detach by rebuilding
-    /// the mapper. The filter-off mapper is byte-identical to the
-    /// pre-filter annealer.
-    pub fn with_movement_filter(mut self, filter: std::sync::Arc<dyn MovementScorer>) -> Self {
+    /// scorer is shared by every lane; detach by rebuilding the mapper.
+    /// The filter-off mapper is byte-identical to the pre-filter
+    /// annealer.
+    pub fn with_movement_filter(mut self, filter: Arc<dyn MovementScorer>) -> Self {
         self.filter = Some(filter);
         self
     }
-
-    /// The annealing parameters.
-    pub fn params(&self) -> &SaParams {
-        &self.params
-    }
 }
 
-impl IiMapper for SaMapper {
+impl<G: Guidance> IiMapper for Annealer<G> {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
-    fn map_at_ii<'a>(
-        &mut self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-    ) -> Option<Mapping<'a>> {
+    fn map_at_ii<'a>(&self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Option<Mapping<'a>> {
         crate::strategy::run_spec(
             &self.strategy,
-            |_chain| VanillaPolicy,
+            &self.guidance,
             &self.params,
-            &self.portfolio,
             dfg,
             acc,
             ii,
@@ -859,7 +868,7 @@ impl IiMapper for SaMapper {
 
 /// Runs one vanilla-policy annealing chain with an optional movement
 /// filter and returns the mapping (if any) together with the router-work
-/// counters. Seeded exactly like chain 0 of [`SaMapper::new`] with the
+/// counters. Seeded exactly like lane 0 of [`SaMapper::new`] with the
 /// same `seed`, so `anneal_chain(..., None)` reproduces the sequential
 /// mapper byte-for-byte. This is the measurement entry point for the
 /// predictor A/B bench and the quality-invariance tests; production
@@ -907,7 +916,7 @@ mod tests {
     fn sa_maps_small_chain_at_ii1() {
         let dfg = small_chain();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut sa = SaMapper::new(SaParams::fast(), 42);
+        let sa = SaMapper::new(SaParams::fast(), 42);
         let m = sa.map_at_ii(&dfg, &acc, 1).expect("should map");
         assert!(m.is_complete());
         m.verify().unwrap();
@@ -942,7 +951,7 @@ mod tests {
             g.add_data_edge(ids[s], ids[d]).unwrap();
         }
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::paper(), 3);
+        let sa = SaMapper::new(SaParams::paper(), 3);
         let m = (2..=4)
             .find_map(|ii| sa.map_at_ii(&g, &acc, ii))
             .expect("fig4 fits a 3x3 within II 4");
@@ -974,7 +983,7 @@ mod tests {
             g.add_node(OpKind::Add, format!("n{i}"));
         }
         let acc = Accelerator::cgra("1x1", 1, 1);
-        let mut sa = SaMapper::new(SaParams::fast(), 5);
+        let sa = SaMapper::new(SaParams::fast(), 5);
         assert!(sa.map_at_ii(&g, &acc, 2).is_none());
     }
 
@@ -988,7 +997,7 @@ mod tests {
     fn sa_maps_a_polybench_kernel() {
         let dfg = polybench::kernel("doitgen").unwrap();
         let acc = Accelerator::cgra("4x4", 4, 4);
-        let mut sa = SaMapper::new(SaParams::fast(), 11);
+        let sa = SaMapper::new(SaParams::fast(), 11);
         let mut found = None;
         for ii in crate::schedule::mii(&dfg, &acc)..=8 {
             if let Some(m) = sa.map_at_ii(&dfg, &acc, ii) {
@@ -1038,7 +1047,7 @@ mod tests {
         }
         let acc = Accelerator::cgra("1x1", 1, 1);
         let recorder = Arc::new(RecordingObserver::default());
-        let mut sa = SaMapper::new(SaParams::fast(), 5)
+        let sa = SaMapper::new(SaParams::fast(), 5)
             .with_observer(lisa_events::EventSink::new(recorder.clone()));
         assert!(sa.map_at_ii(&g, &acc, 2).is_none());
         let events = recorder.take();

@@ -2,10 +2,10 @@
 //!
 //! Per the paper (§VI): "The compiler starts with target II equal to MII
 //! and increments by one if it cannot map, until the target II exceeds the
-//! maximum II." All three mappers (SA, LISA, exact) plug into the same
-//! [`IiSearch`] driver through the [`IiMapper`] trait, so compilation-time
-//! comparisons (Fig. 11) measure identical machinery around the algorithm
-//! under test.
+//! maximum II." Every mapper (SA, LISA, constructive, exact) plugs into
+//! the same [`IiSearch`] driver through the [`IiMapper`] trait, so
+//! compilation-time comparisons (Fig. 11) measure identical machinery
+//! around the algorithm under test.
 
 use std::time::{Duration, Instant};
 
@@ -37,8 +37,9 @@ pub trait IiMapper {
 
     /// Attempts to produce a complete mapping at exactly `ii`. Returns
     /// `None` on failure (resources exhausted, time budget hit, ...).
-    fn map_at_ii<'a>(&mut self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32)
-        -> Option<Mapping<'a>>;
+    /// The result must be a pure function of `(self, dfg, acc, ii)`:
+    /// the II search shares one mapper across concurrent attempts.
+    fn map_at_ii<'a>(&self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Option<Mapping<'a>>;
 }
 
 /// Result of an II search: the metrics every figure of §VI consumes.
@@ -88,87 +89,40 @@ pub struct IiSearch {
 }
 
 impl IiSearch {
-    /// Runs the search and returns the outcome, discarding the mapping.
-    pub fn run(&self, mapper: &mut dyn IiMapper, dfg: &Dfg, acc: &Accelerator) -> MappingOutcome {
-        self.run_with_mapping(mapper, dfg, acc).0
+    /// Runs the search on one thread and returns the outcome, discarding
+    /// the mapping.
+    pub fn run<M>(&self, mapper: &M, dfg: &Dfg, acc: &Accelerator) -> MappingOutcome
+    where
+        M: IiMapper + Sync,
+    {
+        self.run_with_mapping_par(mapper, dfg, acc, 1).0
     }
 
-    /// Runs the search and also returns the successful mapping (used by
-    /// the label extractor).
-    pub fn run_with_mapping<'a>(
-        &self,
-        mapper: &mut dyn IiMapper,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-    ) -> (MappingOutcome, Option<Mapping<'a>>) {
-        let start = Instant::now();
-        let lo = mii(dfg, acc);
-        let hi = self.max_ii.unwrap_or(acc.max_ii()).min(acc.max_ii());
-        let mut attempts = 0;
-        for ii in lo..=hi.max(lo) {
-            if ii > hi {
-                break;
-            }
-            attempts += 1;
-            if let Some(m) = mapper.map_at_ii(dfg, acc, ii) {
-                debug_assert!(m.is_complete());
-                debug_assert_eq!(m.verify(), Ok(()));
-                let outcome = MappingOutcome {
-                    mapper: mapper.name().to_string(),
-                    dfg: dfg.name().to_string(),
-                    accelerator: acc.name().to_string(),
-                    ii: Some(ii),
-                    compile_time: start.elapsed(),
-                    routing_cells: m.routing_cells(),
-                    activity: m.activity(),
-                    ops: dfg.op_count(),
-                    attempts,
-                };
-                return (outcome, Some(m));
-            }
-        }
-        (
-            MappingOutcome {
-                mapper: mapper.name().to_string(),
-                dfg: dfg.name().to_string(),
-                accelerator: acc.name().to_string(),
-                ii: None,
-                compile_time: start.elapsed(),
-                routing_cells: 0,
-                activity: Activity::default(),
-                ops: dfg.op_count(),
-                attempts,
-            },
-            None,
-        )
-    }
-
-    /// Parallel variant of [`run`](Self::run); see
-    /// [`run_with_mapping_par`](Self::run_with_mapping_par).
-    pub fn run_par<M>(
+    /// Runs the search on one thread and also returns the successful
+    /// mapping (used by the label extractor).
+    pub fn run_with_mapping<'a, M>(
         &self,
         mapper: &M,
-        dfg: &Dfg,
-        acc: &Accelerator,
-        parallelism: usize,
-    ) -> MappingOutcome
+        dfg: &'a Dfg,
+        acc: &'a Accelerator,
+    ) -> (MappingOutcome, Option<Mapping<'a>>)
     where
-        M: IiMapper + Clone + Send + Sync,
+        M: IiMapper + Sync,
     {
-        self.run_with_mapping_par(mapper, dfg, acc, parallelism).0
+        self.run_with_mapping_par(mapper, dfg, acc, 1)
     }
 
     /// Speculative parallel II search. IIs are attempted in waves of
     /// `parallelism`; every wave is fully joined before judging, and the
     /// smallest successful II wins, so the outcome — including the
     /// `attempts` count, which bills exactly the IIs the sequential search
-    /// would have tried — is byte-identical to
-    /// [`run_with_mapping`](Self::run_with_mapping) for any thread count.
-    /// Only `compile_time` (wall clock) differs.
+    /// would have tried — is byte-identical for any thread count. Only
+    /// `compile_time` (wall clock) differs. `parallelism = 1` attempts
+    /// one II at a time, inline.
     ///
-    /// Each attempt runs on a clone of `mapper`, so this requires a mapper
+    /// Attempts share `mapper` by reference, so this requires a mapper
     /// whose `map_at_ii` is a pure function of `(self, dfg, acc, ii)` —
-    /// true for both annealing mappers, whose state is seed + parameters.
+    /// true for every mapper in this crate.
     pub fn run_with_mapping_par<'a, M>(
         &self,
         mapper: &M,
@@ -177,7 +131,7 @@ impl IiSearch {
         parallelism: usize,
     ) -> (MappingOutcome, Option<Mapping<'a>>)
     where
-        M: IiMapper + Clone + Send + Sync,
+        M: IiMapper + Sync,
     {
         let start = Instant::now();
         let lo = mii(dfg, acc);
@@ -185,48 +139,39 @@ impl IiSearch {
         let stride = parallelism.max(1) as u32;
         let mut attempts = 0;
         let mut ii = lo;
-        while ii <= hi {
+        let mut found = None;
+        'waves: while ii <= hi {
             let wave_end = hi.min(ii + stride - 1);
             let targets: Vec<u32> = (ii..=wave_end).collect();
             let results = crate::portfolio::par_map(parallelism, targets, |_, target| {
-                let mut chain = mapper.clone();
-                chain.map_at_ii(dfg, acc, target)
+                mapper.map_at_ii(dfg, acc, target)
             });
             for (offset, result) in results.into_iter().enumerate() {
                 attempts += 1;
                 if let Some(m) = result {
                     debug_assert!(m.is_complete());
                     debug_assert_eq!(m.verify(), Ok(()));
-                    let outcome = MappingOutcome {
-                        mapper: mapper.name().to_string(),
-                        dfg: dfg.name().to_string(),
-                        accelerator: acc.name().to_string(),
-                        ii: Some(ii + offset as u32),
-                        compile_time: start.elapsed(),
-                        routing_cells: m.routing_cells(),
-                        activity: m.activity(),
-                        ops: dfg.op_count(),
-                        attempts,
-                    };
-                    return (outcome, Some(m));
+                    found = Some((ii + offset as u32, m));
+                    break 'waves;
                 }
             }
             ii = wave_end + 1;
         }
-        (
-            MappingOutcome {
-                mapper: mapper.name().to_string(),
-                dfg: dfg.name().to_string(),
-                accelerator: acc.name().to_string(),
-                ii: None,
-                compile_time: start.elapsed(),
-                routing_cells: 0,
-                activity: Activity::default(),
-                ops: dfg.op_count(),
-                attempts,
-            },
-            None,
-        )
+        let outcome = MappingOutcome {
+            mapper: mapper.name().to_string(),
+            dfg: dfg.name().to_string(),
+            accelerator: acc.name().to_string(),
+            ii: found.as_ref().map(|(ii, _)| *ii),
+            compile_time: start.elapsed(),
+            routing_cells: found.as_ref().map_or(0, |(_, m)| m.routing_cells()),
+            activity: found
+                .as_ref()
+                .map(|(_, m)| m.activity())
+                .unwrap_or_default(),
+            ops: dfg.op_count(),
+            attempts,
+        };
+        (outcome, found.map(|(_, m)| m))
     }
 }
 
@@ -274,7 +219,7 @@ mod tests {
         }
 
         fn map_at_ii<'a>(
-            &mut self,
+            &self,
             dfg: &'a Dfg,
             acc: &'a Accelerator,
             ii: u32,
@@ -295,8 +240,8 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut mapper = FailThenSucceed { succeed_at: 3 };
-        let outcome = IiSearch::default().run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 3 };
+        let outcome = IiSearch::default().run(&mapper, &g, &acc);
         assert_eq!(outcome.ii, Some(3));
         assert_eq!(outcome.attempts, 3);
         assert!(outcome.mapped());
@@ -307,8 +252,8 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
-        let mut mapper = FailThenSucceed { succeed_at: 99 };
-        let outcome = IiSearch::default().run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 99 };
+        let outcome = IiSearch::default().run(&mapper, &g, &acc);
         assert_eq!(outcome.ii, None);
         assert_eq!(outcome.attempts, 4);
         assert!(!outcome.mapped());
@@ -319,9 +264,27 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut mapper = FailThenSucceed { succeed_at: 99 };
-        let outcome = IiSearch { max_ii: Some(2) }.run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 99 };
+        let outcome = IiSearch { max_ii: Some(2) }.run(&mapper, &g, &acc);
         assert_eq!(outcome.attempts, 2);
+    }
+
+    #[test]
+    fn cap_below_mii_attempts_nothing() {
+        let mut g = Dfg::new("five");
+        for i in 0..5 {
+            g.add_node(OpKind::Add, format!("n{i}"));
+        }
+        let acc = Accelerator::cgra("1x1", 1, 1);
+        // MII is 5 (five ops on one PE); a cap of 3 leaves no II to try.
+        let mapper = FailThenSucceed { succeed_at: 0 };
+        for threads in [1, 2] {
+            let (outcome, mapping) =
+                IiSearch { max_ii: Some(3) }.run_with_mapping_par(&mapper, &g, &acc, threads);
+            assert_eq!(outcome.ii, None);
+            assert_eq!(outcome.attempts, 0);
+            assert!(mapping.is_none());
+        }
     }
 
     #[test]
@@ -329,10 +292,10 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(6);
-        let sequential = IiSearch::default().run(&mut FailThenSucceed { succeed_at: 3 }, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 3 };
+        let sequential = IiSearch::default().run(&mapper, &g, &acc);
         for threads in [1, 2, 4, 8] {
-            let par =
-                IiSearch::default().run_par(&FailThenSucceed { succeed_at: 3 }, &g, &acc, threads);
+            let (par, _) = IiSearch::default().run_with_mapping_par(&mapper, &g, &acc, threads);
             assert_eq!(par.ii, sequential.ii, "threads {threads}");
             // Speculative wave attempts beyond the winner are not billed.
             assert_eq!(par.attempts, sequential.attempts, "threads {threads}");
@@ -344,7 +307,8 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
-        let outcome = IiSearch::default().run_par(&FailThenSucceed { succeed_at: 99 }, &g, &acc, 3);
+        let mapper = FailThenSucceed { succeed_at: 99 };
+        let (outcome, _) = IiSearch::default().run_with_mapping_par(&mapper, &g, &acc, 3);
         assert_eq!(outcome.ii, None);
         assert_eq!(outcome.attempts, 4);
     }

@@ -1,15 +1,14 @@
-//! The [`SearchStrategy`] contract: heterogeneous mapper lanes raced by
-//! one deterministic portfolio.
+//! The [`SearchStrategy`] contract: heterogeneous mapper lanes raced
+//! per II under one deterministic winner rule.
 //!
-//! The portfolio historically raced N seeds of the same annealer. This
-//! module generalizes it: a *lane* is any search algorithm implementing
-//! [`SearchStrategy`] over the shared substrate — [`Mapping`] (placement
-//! + routing with the transaction journal), the Dijkstra router, the
-//! `lisa-events` sink, and the optional movement filter. Three lanes
-//! exist today:
+//! A *lane* is any search algorithm implementing [`SearchStrategy`]
+//! over the shared substrate — [`Mapping`] (placement + routing with
+//! the transaction journal), the Dijkstra router, the `lisa-events`
+//! sink, and the optional movement filter. A [`StrategySpec`] is the
+//! lane list; three lane kinds exist:
 //!
-//! * [`SaStrategy`] — the existing annealer, byte-identical to the
-//!   pre-refactor portfolio for the default configuration;
+//! * `sa` — the annealer, guided by the mapper's [`Guidance`] (vanilla
+//!   or labels); the default spec is one such lane;
 //! * [`crate::evolutionary::EvolutionaryStrategy`] — a deterministic
 //!   population mapper whose crossover exchanges placement regions via
 //!   the transaction journal and whose mutation reuses the annealer's
@@ -18,15 +17,15 @@
 //!   low-complexity one-pass mapper that often finishes easy kernels
 //!   outright at a tiny fraction of the router work.
 //!
-//! **Winner rule.** Constructive lanes run first, inline, in lane-index
-//! order: they are deterministic and orders of magnitude cheaper than a
-//! stochastic lane, so a complete constructive mapping wins outright
-//! before any thread spawns. The remaining (stochastic) lanes are then
-//! raced under [`par_map`]; every lane is joined before judging and the
+//! **Winner rule.** Constructive lanes run first, in lane-index order:
+//! they are deterministic and orders of magnitude cheaper than a
+//! stochastic lane, so a complete constructive mapping wins outright.
+//! The remaining (stochastic) lanes then run in lane order, and the
 //! winner is the lowest-cost complete mapping, ties broken by lane
-//! index. Lane seeds derive from the lane *index* (not the thread), so
-//! the outcome is invariant to thread count and scheduling — the same
-//! determinism contract the homogeneous portfolio always had.
+//! index. Lane seeds derive from the lane *index* via
+//! `chain_seed`, so the outcome is a pure function of the request;
+//! wall-clock parallelism lives one level up, in the II waves of
+//! [`crate::IiSearch::run_with_mapping_par`].
 
 use std::fmt;
 
@@ -37,15 +36,15 @@ use lisa_rng::Rng;
 
 use crate::constructive::ConstructiveStrategy;
 use crate::evolutionary::EvolutionaryStrategy;
-use crate::portfolio::{chain_seed, par_map, PortfolioParams};
+use crate::portfolio::chain_seed;
 use crate::predictor::{FilterStats, MovementScorer};
-use crate::sa::{anneal, mapping_cost, SaParams, SaPolicy};
+use crate::sa::{anneal, mapping_cost, Guidance, SaParams};
 use crate::Mapping;
 
-/// Which search algorithm runs in one portfolio lane.
+/// Which search algorithm runs in one lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneKind {
-    /// Simulated annealing (the historical portfolio lane).
+    /// Simulated annealing (the historical lane).
     Sa,
     /// Deterministic population search with journal crossover.
     Evolutionary,
@@ -75,46 +74,37 @@ impl LaneKind {
 
 /// The lane mix of the `mixed` strategy alias: a constructive scout, the
 /// annealer, and the evolutionary lane.
-pub const MIXED_LANES: [LaneKind; 3] =
-    [LaneKind::Constructive, LaneKind::Sa, LaneKind::Evolutionary];
+const MIXED_LANES: [LaneKind; 3] = [LaneKind::Constructive, LaneKind::Sa, LaneKind::Evolutionary];
 
-/// How the portfolio's lanes are populated for each II attempt.
+/// The lane list raced at each II attempt, in lane-index order. Never
+/// empty; the default is one `sa` lane.
 ///
 /// Parsed from `lisa-map --strategy`, the `strategy` field of a
 /// `lisa-request v1` document, and [`Display`](fmt::Display)ed back in
 /// canonical form (`parse` ∘ `to_string` is the identity on parsed
 /// specs, which is what the serve cache key relies on).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StrategySpec {
-    /// Every portfolio chain runs the same lane kind. This is the
-    /// historical shape; `Homogeneous(Sa)` is the default and maps
-    /// byte-identically to the pre-strategy mapper.
-    Homogeneous(LaneKind),
-    /// An explicit lane list, raced in index order. The lane count
-    /// overrides the portfolio's chain count.
-    Lanes(Vec<LaneKind>),
+pub struct StrategySpec {
+    lanes: Vec<LaneKind>,
 }
 
 impl Default for StrategySpec {
     fn default() -> Self {
-        StrategySpec::Homogeneous(LaneKind::Sa)
+        StrategySpec {
+            lanes: vec![LaneKind::Sa],
+        }
     }
 }
 
 impl fmt::Display for StrategySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StrategySpec::Homogeneous(kind) => f.write_str(kind.name()),
-            StrategySpec::Lanes(lanes) => {
-                for (i, lane) in lanes.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    f.write_str(lane.name())?;
-                }
-                Ok(())
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
             }
+            f.write_str(lane.name())?;
         }
+        Ok(())
     }
 }
 
@@ -138,11 +128,10 @@ impl fmt::Display for ParseStrategyError {
 impl std::error::Error for ParseStrategyError {}
 
 impl StrategySpec {
-    /// Parses a strategy spec: a single lane name (`sa`, `evolutionary`
-    /// / `evo`, `constructive`), the `mixed` alias
-    /// (constructive,sa,evolutionary), or a comma-separated lane list.
-    /// A one-element list normalizes to [`StrategySpec::Homogeneous`],
-    /// so distinct spellings of the same mix canonicalize to one value.
+    /// Parses a strategy spec: a comma-separated list of lane names
+    /// (`sa`, `evolutionary` / `evo`, `constructive`), or the `mixed`
+    /// alias (constructive,sa,evolutionary). `sa,sa,sa,sa` races four
+    /// independently seeded annealing lanes.
     ///
     /// # Errors
     ///
@@ -150,42 +139,22 @@ impl StrategySpec {
     pub fn parse(spec: &str) -> Result<StrategySpec, ParseStrategyError> {
         let trimmed = spec.trim();
         if trimmed == "mixed" {
-            return Ok(StrategySpec::Lanes(MIXED_LANES.to_vec()));
+            return Ok(StrategySpec {
+                lanes: MIXED_LANES.to_vec(),
+            });
         }
-        let mut lanes = Vec::new();
-        for part in trimmed.split(',') {
-            match LaneKind::parse_one(part.trim()) {
-                Some(kind) => lanes.push(kind),
-                None => {
-                    return Err(ParseStrategyError {
-                        spec: spec.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(if lanes.len() == 1 {
-            StrategySpec::Homogeneous(lanes[0])
-        } else {
-            StrategySpec::Lanes(lanes)
-        })
-    }
-
-    /// The concrete lane list for a portfolio of `chains` chains.
-    /// Homogeneous specs replicate their kind across every chain —
-    /// except `Homogeneous(Constructive)`, which yields one lane: the
-    /// constructive mapper is deterministic, so duplicate lanes would be
-    /// identical work. Explicit lane lists are returned as written.
-    pub fn expand(&self, chains: usize) -> Vec<LaneKind> {
-        match self {
-            StrategySpec::Homogeneous(LaneKind::Constructive) => vec![LaneKind::Constructive],
-            StrategySpec::Homogeneous(kind) => vec![*kind; chains.max(1)],
-            StrategySpec::Lanes(lanes) => lanes.clone(),
-        }
+        let lanes = trimmed
+            .split(',')
+            .map(|part| LaneKind::parse_one(part.trim()))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| ParseStrategyError {
+                spec: spec.to_string(),
+            })?;
+        Ok(StrategySpec { lanes })
     }
 }
 
-/// One portfolio lane: a search algorithm over the shared mapping
-/// substrate.
+/// One lane: a search algorithm over the shared mapping substrate.
 ///
 /// Lanes **share** the problem statement (`dfg`, `acc`, `ii`), the
 /// [`Mapping`] state machine (placement + routing + transaction
@@ -197,22 +166,21 @@ impl StrategySpec {
 /// must emit a [`PipelineEvent::SaFilterSummary`] for its router-work
 /// counters when the sink is active so A/B measurements read every lane
 /// from the same stream.
-pub trait SearchStrategy: Sync {
+pub trait SearchStrategy {
     /// The stable lane name (matches [`LaneKind::name`]).
     fn name(&self) -> &'static str;
 
     /// Whether the lane is a deterministic, cheap constructive pass.
-    /// Constructive lanes run inline before the stochastic race and win
+    /// Constructive lanes run before the stochastic lanes and win
     /// outright when complete (see the module docs' winner rule).
     fn is_constructive(&self) -> bool {
         false
     }
 
     /// Runs the lane to completion. `lane` is the lane index (tags
-    /// emitted events, like the portfolio chain index it generalizes);
-    /// `seed` is the lane-derived RNG seed — deterministic lanes ignore
-    /// it. Returns a complete mapping or `None`, plus the lane's
-    /// router-work counters.
+    /// emitted events); `seed` is the lane-derived RNG seed —
+    /// deterministic lanes ignore it. Returns a complete mapping or
+    /// `None`, plus the lane's router-work counters.
     fn run<'a>(
         &self,
         dfg: &'a Dfg,
@@ -225,35 +193,15 @@ pub trait SearchStrategy: Sync {
     ) -> (Option<Mapping<'a>>, FilterStats);
 }
 
-/// The annealer as a portfolio lane. Carries the policy factory (fresh
-/// policy per lane — policies may hold per-run state) and runs exactly
-/// the code the homogeneous portfolio always ran, so an all-SA lane set
-/// is byte-identical to the pre-strategy mapper.
-pub struct SaStrategy<F> {
-    make_policy: F,
-    params: SaParams,
+/// The annealer as a lane. Builds a fresh policy from the guidance per
+/// run (policies may hold per-run state), so every `sa` lane of a spec
+/// anneals exactly like a lone annealing chain with the lane's seed.
+struct SaStrategy<'g, G> {
+    guidance: &'g G,
+    params: &'g SaParams,
 }
 
-impl<F, P> SaStrategy<F>
-where
-    F: Fn(usize) -> P + Sync,
-    P: SaPolicy,
-{
-    /// A lane running the annealer with `params`, constructing its
-    /// policy through `make_policy(lane)`.
-    pub fn new(make_policy: F, params: SaParams) -> Self {
-        SaStrategy {
-            make_policy,
-            params,
-        }
-    }
-}
-
-impl<F, P> SearchStrategy for SaStrategy<F>
-where
-    F: Fn(usize) -> P + Sync,
-    P: SaPolicy,
-{
+impl<G: Guidance> SearchStrategy for SaStrategy<'_, G> {
     fn name(&self) -> &'static str {
         "sa"
     }
@@ -268,11 +216,11 @@ where
         sink: &EventSink,
         filter: Option<&dyn MovementScorer>,
     ) -> (Option<Mapping<'a>>, FilterStats) {
-        let policy = (self.make_policy)(lane);
+        let policy = self.guidance.policy(dfg);
         let mut rng = Rng::seed_from_u64(seed);
         anneal(
             &policy,
-            &self.params,
+            self.params,
             dfg,
             acc,
             ii,
@@ -284,16 +232,13 @@ where
     }
 }
 
-/// Races a heterogeneous lane set for one II and returns the winning
-/// mapping under the deterministic winner rule (module docs): complete
-/// constructive lanes win outright in lane order; otherwise the
-/// stochastic lanes are joined and judged by
+/// Races `lanes` for one II under the deterministic winner rule (module
+/// docs): complete constructive lanes win outright in lane order;
+/// otherwise the stochastic lanes run in lane order and are judged by
 /// `(lowest cost, lowest lane index)`. Lane seeds derive from the lane
-/// index via [`chain_seed`], so `parallelism` is wall-clock-only.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn race_lanes<'a>(
+/// index via [`chain_seed`].
+fn race_lanes<'a>(
     lanes: &[&dyn SearchStrategy],
-    parallelism: usize,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
@@ -301,45 +246,12 @@ pub(crate) fn race_lanes<'a>(
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
 ) -> Option<Mapping<'a>> {
-    // Phase A: constructive lanes, inline, in lane order. First complete
-    // result short-circuits the whole race.
-    for (lane, strategy) in lanes.iter().enumerate() {
-        if !strategy.is_constructive() {
-            continue;
-        }
-        let lane_seed = chain_seed(seed, lane as u64, ii);
-        let (mapping, _stats) = strategy.run(dfg, acc, ii, lane, lane_seed, sink, filter);
-        if let Some(m) = mapping {
-            if sink.is_active() {
-                sink.emit(PipelineEvent::StrategyLaneWon {
-                    ii,
-                    lane,
-                    strategy: strategy.name(),
-                    cost: mapping_cost(&m),
-                });
-            }
-            return Some(m);
-        }
-    }
-
-    // Phase B: stochastic lanes race on the shared work distributor.
-    let stochastic: Vec<usize> = (0..lanes.len())
-        .filter(|&lane| !lanes[lane].is_constructive())
-        .collect();
-    let results = par_map(parallelism, stochastic, |_, lane| {
+    let run = |lane: usize| {
         let lane_seed = chain_seed(seed, lane as u64, ii);
         let (mapping, _stats) = lanes[lane].run(dfg, acc, ii, lane, lane_seed, sink, filter);
         mapping.map(|m| (mapping_cost(&m), lane, m))
-    });
-    let mut best: Option<(f64, usize, Mapping<'a>)> = None;
-    for candidate in results.into_iter().flatten() {
-        match &best {
-            // Strict improvement only: earlier lanes win ties.
-            Some((cost, _, _)) if candidate.0 >= *cost => {}
-            _ => best = Some(candidate),
-        }
-    }
-    best.map(|(cost, lane, m)| {
+    };
+    let won = |(cost, lane, m): (f64, usize, Mapping<'a>)| {
         if sink.is_active() {
             sink.emit(PipelineEvent::StrategyLaneWon {
                 ii,
@@ -349,93 +261,81 @@ pub(crate) fn race_lanes<'a>(
             });
         }
         m
-    })
+    };
+    // Constructive lanes first: the first complete result wins.
+    let constructive = (0..lanes.len()).filter(|&lane| lanes[lane].is_constructive());
+    if let Some(winner) = constructive.filter_map(run).next() {
+        return Some(won(winner));
+    }
+    let mut best: Option<(f64, usize, Mapping<'a>)> = None;
+    for candidate in (0..lanes.len())
+        .filter(|&lane| !lanes[lane].is_constructive())
+        .filter_map(run)
+    {
+        match &best {
+            // Strict improvement only: earlier lanes win ties.
+            Some((cost, _, _)) if candidate.0 >= *cost => {}
+            _ => best = Some(candidate),
+        }
+    }
+    best.map(won)
 }
 
-/// Expands `spec` against the portfolio's chain count, instantiates one
-/// strategy per lane kind, and races them. This is the single entry
-/// point both mappers call; `Homogeneous(Sa)` reproduces the historical
-/// homogeneous annealing portfolio byte-for-byte.
+/// Instantiates one strategy per lane of `spec` and races them. This is
+/// the annealer front-end's single entry point; the default spec (one
+/// `sa` lane) is the lone annealing chain.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec<'a, P, F>(
+pub(crate) fn run_spec<'a, G: Guidance>(
     spec: &StrategySpec,
-    make_policy: F,
+    guidance: &G,
     params: &SaParams,
-    portfolio: &PortfolioParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
     seed: u64,
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
-) -> Option<Mapping<'a>>
-where
-    P: SaPolicy,
-    F: Fn(usize) -> P + Sync,
-{
-    let kinds = spec.expand(portfolio.chains.max(1));
-    let sa = SaStrategy::new(make_policy, params.clone());
+) -> Option<Mapping<'a>> {
+    let sa = SaStrategy { guidance, params };
     let evolutionary = EvolutionaryStrategy::new(params.clone());
-    let constructive = ConstructiveStrategy::new();
-    let lanes: Vec<&dyn SearchStrategy> = kinds
+    let lanes: Vec<&dyn SearchStrategy> = spec
+        .lanes
         .iter()
         .map(|kind| match kind {
             LaneKind::Sa => &sa as &dyn SearchStrategy,
             LaneKind::Evolutionary => &evolutionary as &dyn SearchStrategy,
-            LaneKind::Constructive => &constructive as &dyn SearchStrategy,
+            LaneKind::Constructive => &ConstructiveStrategy as &dyn SearchStrategy,
         })
         .collect();
-    race_lanes(
-        &lanes,
-        portfolio.parallelism,
-        dfg,
-        acc,
-        ii,
-        seed,
-        sink,
-        filter,
-    )
+    race_lanes(&lanes, dfg, acc, ii, seed, sink, filter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn lanes(spec: &str) -> Vec<LaneKind> {
+        StrategySpec::parse(spec).unwrap().lanes
+    }
+
     #[test]
     fn parse_accepts_every_lane_and_the_aliases() {
+        assert_eq!(lanes("sa"), vec![LaneKind::Sa]);
+        assert_eq!(lanes("evolutionary"), vec![LaneKind::Evolutionary]);
+        assert_eq!(lanes("evo"), vec![LaneKind::Evolutionary]);
+        assert_eq!(lanes("constructive"), vec![LaneKind::Constructive]);
+        assert_eq!(lanes("mixed"), MIXED_LANES.to_vec());
         assert_eq!(
-            StrategySpec::parse("sa").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Sa)
+            lanes("constructive, sa ,evo"),
+            vec![LaneKind::Constructive, LaneKind::Sa, LaneKind::Evolutionary]
         );
-        assert_eq!(
-            StrategySpec::parse("evolutionary").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Evolutionary)
-        );
-        assert_eq!(
-            StrategySpec::parse("evo").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Evolutionary)
-        );
-        assert_eq!(
-            StrategySpec::parse("constructive").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Constructive)
-        );
-        assert_eq!(
-            StrategySpec::parse("mixed").unwrap(),
-            StrategySpec::Lanes(MIXED_LANES.to_vec())
-        );
-        assert_eq!(
-            StrategySpec::parse("constructive, sa ,evo").unwrap(),
-            StrategySpec::Lanes(vec![
-                LaneKind::Constructive,
-                LaneKind::Sa,
-                LaneKind::Evolutionary
-            ])
-        );
+        assert_eq!(lanes("sa,sa,sa,sa"), vec![LaneKind::Sa; 4]);
+        assert_eq!(StrategySpec::default().lanes, vec![LaneKind::Sa]);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "annealing", "sa;evo", "sa,,evo", "mixed,sa"] {
+        for bad in ["", "annealing", "sa;evo", "sa,,evo", "mixed,sa", "sa,"] {
             assert!(StrategySpec::parse(bad).is_err(), "accepted `{bad}`");
         }
         let err = StrategySpec::parse("warp-drive").unwrap_err();
@@ -474,32 +374,9 @@ mod tests {
             StrategySpec::parse("evo").unwrap().to_string(),
             "evolutionary"
         );
-        // A one-element list is the homogeneous spec.
-        assert_eq!(StrategySpec::parse("sa,").is_err(), true);
         assert_eq!(
             StrategySpec::parse(" sa ").unwrap().to_string(),
             StrategySpec::default().to_string()
         );
-    }
-
-    #[test]
-    fn expand_replicates_homogeneous_and_keeps_lane_lists() {
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Sa).expand(3),
-            vec![LaneKind::Sa; 3]
-        );
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Evolutionary).expand(2),
-            vec![LaneKind::Evolutionary; 2]
-        );
-        // Deterministic lane: duplicates would be identical work.
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Constructive).expand(4),
-            vec![LaneKind::Constructive]
-        );
-        let lanes = vec![LaneKind::Constructive, LaneKind::Sa];
-        assert_eq!(StrategySpec::Lanes(lanes.clone()).expand(7), lanes);
-        // Chain floor of 1.
-        assert_eq!(StrategySpec::default().expand(0), vec![LaneKind::Sa]);
     }
 }

@@ -61,7 +61,7 @@ fn chain_dfg() -> Dfg {
 }
 
 fn sa_digest(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64) -> u64 {
-    let mut mapper = SaMapper::new(SaParams::paper(), seed);
+    let mapper = SaMapper::new(SaParams::paper(), seed);
     let m = mapper
         .map_at_ii(dfg, acc, ii)
         .expect("golden case must map");
@@ -70,7 +70,7 @@ fn sa_digest(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64) -> u64 {
 }
 
 fn label_sa_digest(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64) -> u64 {
-    let mut mapper = LabelSaMapper::new(GuidanceLabels::initial(dfg), SaParams::paper(), seed);
+    let mapper = LabelSaMapper::new(GuidanceLabels::initial(dfg), SaParams::paper(), seed);
     let m = mapper
         .map_at_ii(dfg, acc, ii)
         .expect("golden case must map");

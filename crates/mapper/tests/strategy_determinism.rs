@@ -1,23 +1,22 @@
-//! Determinism contract of the heterogeneous strategy portfolio.
+//! Determinism contract of the heterogeneous lane race.
 //!
 //! Three layers of pinning:
 //!
-//! * **Golden digests** — the default configuration (homogeneous SA
-//!   lanes) must stay byte-identical to the pre-`SearchStrategy` mapper.
-//!   The digests below were captured by running the pre-refactor
-//!   portfolio (`PortfolioParams::new(4).with_parallelism(2)`,
-//!   `SaParams::paper()`) on this exact suite.
+//! * **Golden digests** — four SA lanes (`sa,sa,sa,sa`) must stay
+//!   byte-identical to the pre-`SearchStrategy` mapper. The digests
+//!   below were captured by running the pre-refactor four-chain
+//!   portfolio (`SaParams::paper()`) on this exact suite.
 //! * **Rerun identity** — every strategy mix maps byte-identically when
 //!   run twice in the same process.
-//! * **Thread-count invariance** — the mixed-lane portfolio returns the
-//!   same bytes for `parallelism` 1, 2, and 4: lane seeds derive from
-//!   lane indices, and all lanes are joined before the winner is judged.
+//! * **Thread-count invariance** — an II search over the mixed lane list
+//!   returns the same bytes for II-wave `parallelism` 1, 2, and 4: lane
+//!   seeds derive from lane indices, and every wave is joined before the
+//!   lowest successful II is judged.
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
 use lisa_mapper::{
-    GuidanceLabels, IiMapper, LabelSaMapper, Mapping, PortfolioParams, SaMapper, SaParams,
-    StrategySpec,
+    GuidanceLabels, IiMapper, IiSearch, LabelSaMapper, Mapping, SaMapper, SaParams, StrategySpec,
 };
 
 /// FNV-1a over every placement and route step: byte-level identity of
@@ -108,16 +107,20 @@ fn golden_suite() -> Vec<(&'static str, Dfg, Accelerator, u32, u64, u64, u64)> {
     ]
 }
 
+/// The lane list the golden digests were captured with.
+fn four_sa_lanes() -> StrategySpec {
+    StrategySpec::parse("sa,sa,sa,sa").unwrap()
+}
+
 #[test]
 fn default_strategy_matches_pre_refactor_golden_digests() {
     for (name, dfg, acc, ii, seed, sa_digest, label_digest) in golden_suite() {
-        let mut sa = SaMapper::new(SaParams::paper(), seed)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(2));
+        let sa = SaMapper::new(SaParams::paper(), seed).with_strategy(four_sa_lanes());
         let m = sa.map_at_ii(&dfg, &acc, ii).expect("golden case maps");
         assert_eq!(digest(&m), sa_digest, "SA digest drifted on {name}");
 
-        let mut label = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::paper(), seed)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(2));
+        let label = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::paper(), seed)
+            .with_strategy(four_sa_lanes());
         let m = label.map_at_ii(&dfg, &acc, ii).expect("golden case maps");
         assert_eq!(digest(&m), label_digest, "LabelSA digest drifted on {name}");
     }
@@ -125,13 +128,9 @@ fn default_strategy_matches_pre_refactor_golden_digests() {
 
 #[test]
 fn explicit_strategy_sa_is_byte_identical_to_the_default() {
-    for (name, dfg, acc, ii, seed, sa_digest, _) in golden_suite() {
-        let mut sa = SaMapper::new(SaParams::paper(), seed)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(2))
-            .with_strategy(StrategySpec::parse("sa").unwrap());
-        let m = sa.map_at_ii(&dfg, &acc, ii).expect("golden case maps");
-        assert_eq!(digest(&m), sa_digest, "--strategy sa diverged on {name}");
-    }
+    // One `sa` lane is the default spec, so `--strategy sa` builds the
+    // very mapper the default does.
+    assert_eq!(StrategySpec::default(), StrategySpec::parse("sa").unwrap());
 }
 
 #[test]
@@ -139,30 +138,31 @@ fn mixed_portfolio_is_rerun_and_thread_count_invariant() {
     let acc = Accelerator::cgra("4x4", 4, 4);
     let dfg = polybench::kernel("gemm").unwrap();
     let mixed = StrategySpec::parse("mixed").unwrap();
-    let mut digests = Vec::new();
+    let search = IiSearch { max_ii: Some(8) };
+    let mut runs = Vec::new();
     for parallelism in [1, 2, 4, 1] {
-        let mut sa = SaMapper::new(SaParams::fast(), 7)
-            .with_portfolio(PortfolioParams::new(3).with_parallelism(parallelism))
-            .with_strategy(mixed.clone());
-        let m = sa.map_at_ii(&dfg, &acc, 8).expect("gemm maps at ii 8");
+        let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(mixed.clone());
+        let (outcome, m) = search.run_with_mapping_par(&sa, &dfg, &acc, parallelism);
+        let m = m.expect("gemm maps by ii 8");
         m.verify().expect("mixed-lane winner verifies");
-        digests.push(digest(&m));
+        runs.push((outcome.ii, outcome.attempts, digest(&m)));
     }
     assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "mixed portfolio varied across thread counts/reruns: {digests:?}"
+        runs.windows(2).all(|w| w[0] == w[1]),
+        "mixed lane race varied across thread counts/reruns: {runs:?}"
     );
 
     // Same contract for the label-aware mapper.
-    let mut digests = Vec::new();
+    let mut runs = Vec::new();
     for parallelism in [1, 4] {
-        let mut label = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 7)
-            .with_portfolio(PortfolioParams::new(3).with_parallelism(parallelism))
+        let label = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 7)
             .with_strategy(mixed.clone());
-        let m = label.map_at_ii(&dfg, &acc, 8).expect("gemm maps at ii 8");
-        digests.push(digest(&m));
+        let (outcome, m) = search.run_with_mapping_par(&label, &dfg, &acc, parallelism);
+        let m = m.expect("gemm maps by ii 8");
+        m.verify().expect("mixed-lane winner verifies");
+        runs.push((outcome.ii, outcome.attempts, digest(&m)));
     }
-    assert_eq!(digests[0], digests[1]);
+    assert_eq!(runs[0], runs[1]);
 }
 
 #[test]
@@ -172,9 +172,7 @@ fn every_lane_mix_reruns_byte_identically() {
     for spec in ["constructive", "evolutionary", "sa,evolutionary", "mixed"] {
         let strategy = StrategySpec::parse(spec).unwrap();
         let run = || {
-            let mut sa = SaMapper::new(SaParams::fast(), 11)
-                .with_portfolio(PortfolioParams::new(2).with_parallelism(2))
-                .with_strategy(strategy.clone());
+            let sa = SaMapper::new(SaParams::fast(), 11).with_strategy(strategy.clone());
             sa.map_at_ii(&dfg, &acc, 8).map(|m| digest(&m))
         };
         assert_eq!(run(), run(), "strategy `{spec}` rerun diverged");

@@ -11,9 +11,9 @@
 //!   most `queue` more may wait. Beyond that the daemon answers
 //!   `status overloaded` immediately — explicit rejection instead of an
 //!   unbounded queue (the backpressure contract).
-//! * **Portfolio parallelism.** Inside one compute, the existing
-//!   `par_map` portfolio machinery fans out annealing chains across
-//!   `parallelism` threads; thread count never changes the result.
+//! * **II-wave parallelism.** Inside one compute, the II search
+//!   attempts up to `parallelism` IIs at once (speculative II waves on
+//!   `par_map`); thread count never changes the result.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -41,7 +41,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Requests allowed to wait for a compute slot before overload.
     pub queue: usize,
-    /// Annealing-portfolio threads per computation.
+    /// II-wave threads per computation (speculative IIs attempted at
+    /// once); never changes the result.
     pub parallelism: usize,
 }
 

@@ -101,8 +101,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|e| temporal_net.predict(&attrs.edge[e.index()]).max(1.0))
             .collect(),
     };
-    let mut mapper = LabelSaMapper::new(labels, SaParams::fast(), 7);
-    let outcome = IiSearch { max_ii: Some(12) }.run(&mut mapper, &dfg, &acc);
+    let mapper = LabelSaMapper::new(labels, SaParams::fast(), 7);
+    let outcome = IiSearch { max_ii: Some(12) }.run(&mapper, &dfg, &acc);
     println!(
         "stage 3: {} on {} -> II {:?} in {:.2?}",
         dfg.name(),

@@ -22,6 +22,11 @@ echo "verify: lisa-lint clean"
 cargo build --release --offline
 cargo test -q --offline
 
+# The benchmark package (BENCHMARK.json) drives the mapper API directly
+# (LabelSaMapper, IiMapper, SaParams, StrategySpec): build and unit-test
+# it here, so an API reshape that breaks the benchmark fails this tier.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Bench smoke: run the micro-benches once each (heavy tier is skipped),
 # which writes target/bench/BENCH_<suite>.json; bench_check fails if
 # BENCH_mapping.json, BENCH_gnn.json, BENCH_pipeline.json, or

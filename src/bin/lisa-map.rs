@@ -27,7 +27,9 @@
 //! The `lisa` mapper trains the GNN label models for the chosen
 //! accelerator on the fly (quick scale); pass `--model <path>` to load a
 //! model previously written by `lisa-map train --out`, or use
-//! `--mapper sa` for an untrained baseline run.
+//! `--mapper sa` for an untrained baseline run. `--mapper greedy` runs
+//! the deterministic list scheduler (the `constructive` lane) under the
+//! same II search.
 //!
 //! `train` runs the staged pipeline (`generate_dfgs -> generate_labels ->
 //! filter_and_split -> train_nets -> evaluate`) with progress on stderr.
@@ -57,9 +59,8 @@ use lisa::labels::movement::{parse_movement_set, write_movement_set, MovementPre
 use lisa::labels::MovementRecorder;
 use lisa::mapper::display::render;
 use lisa::mapper::exact::{ExactMapper, ExactParams};
-use lisa::mapper::greedy::GreedyMapper;
 use lisa::mapper::schedule::IiSearch;
-use lisa::mapper::{FilterStats, SaMapper, SaParams, StrategySpec};
+use lisa::mapper::{ConstructiveStrategy, FilterStats, SaMapper, SaParams, StrategySpec};
 
 struct Options {
     kernel: String,
@@ -83,8 +84,8 @@ struct TrainPredictorOptions {
     seed: u64,
 }
 
-/// Sums every chain's `SaFilterSummary` counters across the whole run
-/// (all IIs, all chains) for the end-of-run summary line.
+/// Sums every lane's `SaFilterSummary` counters across the whole run
+/// (all IIs, all lanes) for the end-of-run summary line.
 #[derive(Debug, Default)]
 struct FilterTotals(Mutex<FilterStats>);
 
@@ -594,7 +595,7 @@ fn main() {
     }
     if opts.strategy != StrategySpec::default() && matches!(opts.mapper.as_str(), "greedy" | "ilp")
     {
-        eprintln!("note: --strategy only selects portfolio lanes (lisa, sa); ignored");
+        eprintln!("note: --strategy only selects annealer lanes (lisa, sa); ignored");
     }
 
     let search = IiSearch {
@@ -653,15 +654,12 @@ fn main() {
                     }
                 }
             }
-            search.run_with_mapping(&mut sa, &dfg, &acc)
+            search.run_with_mapping(&sa, &dfg, &acc)
         }
-        "greedy" => {
-            let mut greedy = GreedyMapper::default();
-            search.run_with_mapping(&mut greedy, &dfg, &acc)
-        }
+        "greedy" => search.run_with_mapping(&ConstructiveStrategy, &dfg, &acc),
         "ilp" => {
-            let mut ilp = ExactMapper::new(ExactParams::default());
-            search.run_with_mapping(&mut ilp, &dfg, &acc)
+            let ilp = ExactMapper::new(ExactParams::default());
+            search.run_with_mapping(&ilp, &dfg, &acc)
         }
         other => {
             eprintln!("unknown mapper {other}\n{}", usage());

@@ -6,7 +6,7 @@
 use lisa::arch::Accelerator;
 use lisa::dfg::{generate_random_dfg, polybench, RandomDfgConfig};
 use lisa::mapper::schedule::{IiMapper, IiSearch};
-use lisa::mapper::{GuidanceLabels, LabelSaMapper, PortfolioParams, SaMapper, SaParams};
+use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaMapper, SaParams, StrategySpec};
 
 /// Two generator runs with the same seed produce byte-identical DFGs
 /// (compared through their full debug rendering, which covers nodes,
@@ -35,9 +35,9 @@ fn sa_mapper_runs_are_byte_identical() {
     for seed in [3, 17, 2022] {
         let dfg = generate_random_dfg(&cfg, seed);
         let run = |s: u64| {
-            let mut sa = SaMapper::new(SaParams::fast(), s);
+            let sa = SaMapper::new(SaParams::fast(), s);
             let (outcome, mapping) =
-                IiSearch { max_ii: Some(10) }.run_with_mapping(&mut sa, &dfg, &acc);
+                IiSearch { max_ii: Some(10) }.run_with_mapping(&sa, &dfg, &acc);
             // `compile_time` is wall-clock and legitimately varies between
             // runs; everything else must be byte-identical.
             format!(
@@ -51,16 +51,17 @@ fn sa_mapper_runs_are_byte_identical() {
     }
 }
 
-/// The deterministic portfolio's contract: a 4-chain portfolio produces a
-/// byte-identical mapping whether the chains (and the speculative II
-/// search around them) run on 1 worker or 4. Covered for both annealing
-/// mappers on a polybench kernel, so the whole parallel path — `par_map`,
-/// wave-based II search, chain seeding, winner selection — is pinned.
+/// The deterministic lane race's contract: a 4-lane `sa,sa,sa,sa` spec
+/// produces a byte-identical mapping whether the speculative II search
+/// around it runs on 1 worker or 4. Covered for both annealing mappers
+/// on a polybench kernel, so the whole parallel path — `par_map`,
+/// wave-based II search, lane seeding, winner selection — is pinned.
 #[test]
 fn portfolio_is_thread_count_invariant() {
     let dfg = polybench::kernel("doitgen").unwrap();
     let acc = Accelerator::cgra("4x4", 4, 4);
     let search = IiSearch { max_ii: Some(8) };
+    let lanes = StrategySpec::parse("sa,sa,sa,sa").unwrap();
     let render = |outcome: &lisa::mapper::MappingOutcome,
                   mapping: &Option<lisa::mapper::Mapping>| {
         format!(
@@ -69,8 +70,7 @@ fn portfolio_is_thread_count_invariant() {
         )
     };
     let sa_run = |threads: usize| {
-        let mapper = SaMapper::new(SaParams::fast(), 2022)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
+        let mapper = SaMapper::new(SaParams::fast(), 2022).with_strategy(lanes.clone());
         let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
@@ -78,7 +78,7 @@ fn portfolio_is_thread_count_invariant() {
 
     let lisa_run = |threads: usize| {
         let mapper = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 2022)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
+            .with_strategy(lanes.clone());
         let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
@@ -96,7 +96,7 @@ fn seeds_actually_reach_the_mapper() {
     let dfg = generate_random_dfg(&RandomDfgConfig::default(), 42);
     let acc = Accelerator::cgra("4x4", 4, 4);
     let placements = |seed: u64| {
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = SaMapper::new(SaParams::fast(), seed);
         (2..=8)
             .find_map(|ii| sa.map_at_ii(&dfg, &acc, ii))
             .map(|m| format!("{m:?}"))
