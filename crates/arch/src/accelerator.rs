@@ -93,6 +93,10 @@ pub struct Accelerator {
     regs_per_pe: usize,
     max_ii: u32,
     kind: AcceleratorKind,
+    /// Grid coordinate of every PE, by id: `coord`, `spatial_distance`
+    /// and `supports` sit on the annealer's candidate-scoring path, so
+    /// they read this table instead of dividing ids by `cols`.
+    coords: Vec<Coord>,
     neighbors: Vec<Vec<PeId>>,
     /// Distance-index policy chosen by [`Self::with_distance_mode`]
     /// (default [`DistanceMode::Auto`]); remembered so interconnect
@@ -136,6 +140,7 @@ impl Accelerator {
             regs_per_pe: Self::DEFAULT_REGS_PER_PE,
             max_ii: Self::DEFAULT_MAX_II,
             kind,
+            coords: grid_coords(rows, cols),
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
@@ -163,6 +168,7 @@ impl Accelerator {
             regs_per_pe: 1,
             max_ii: 1,
             kind: AcceleratorKind::Systolic,
+            coords: grid_coords(rows, cols),
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
@@ -320,11 +326,7 @@ impl Accelerator {
     ///
     /// Panics if the id is out of range.
     pub fn coord(&self, pe: PeId) -> Coord {
-        assert!(pe.index() < self.pe_count(), "PE out of range");
-        Coord {
-            row: pe.index() / self.cols,
-            col: pe.index() % self.cols,
-        }
+        self.coords[pe.index()]
     }
 
     /// PE at a grid coordinate.
@@ -449,6 +451,13 @@ impl fmt::Display for Accelerator {
             self.name, self.rows, self.cols, self.kind, self.regs_per_pe, self.max_ii
         )
     }
+}
+
+/// Row-major coordinates of a `rows × cols` grid, indexed by PE id.
+fn grid_coords(rows: usize, cols: usize) -> Vec<Coord> {
+    (0..rows)
+        .flat_map(|row| (0..cols).map(move |col| Coord { row, col }))
+        .collect()
 }
 
 fn mesh_neighbors(rows: usize, cols: usize) -> Vec<Vec<PeId>> {

@@ -55,6 +55,13 @@ pub enum DfgError {
     },
     /// The graph is empty where a non-empty graph is required.
     Empty,
+    /// A kernel name outside the built-in catalog.
+    UnknownKernel {
+        /// The requested name.
+        name: String,
+        /// Every name the catalog accepts.
+        valid: &'static [&'static str],
+    },
 }
 
 impl fmt::Display for DfgError {
@@ -92,6 +99,11 @@ impl fmt::Display for DfgError {
                 node.index()
             ),
             DfgError::Empty => write!(f, "graph is empty"),
+            DfgError::UnknownKernel { name, valid } => write!(
+                f,
+                "unknown PolyBench kernel {name:?} (valid: {})",
+                valid.join(", ")
+            ),
         }
     }
 }

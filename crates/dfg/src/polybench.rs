@@ -30,16 +30,22 @@ pub const UNROLLED_8X8_NAMES: [&str; 8] = [
     "atax", "bicg", "gemm", "gesummv", "mvt", "symm", "syrk", "syr2k",
 ];
 
+/// The typed error for a kernel name outside `valid`.
+fn unknown(name: &str, valid: &'static [&'static str]) -> DfgError {
+    DfgError::UnknownKernel {
+        name: name.to_string(),
+        valid,
+    }
+}
+
 /// Builds the DFG for a kernel by name.
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only if an internal construction bug violates the
-/// graph invariants (never in practice; covered by tests).
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
+/// Returns [`DfgError::UnknownKernel`] for a name outside
+/// [`KERNEL_NAMES`]; any other [`DfgError`] would be an internal
+/// construction bug violating the graph invariants (never in practice;
+/// covered by tests).
 pub fn kernel(name: &str) -> Result<Dfg, DfgError> {
     let g = match name {
         "atax" => atax(),
@@ -54,7 +60,7 @@ pub fn kernel(name: &str) -> Result<Dfg, DfgError> {
         "doitgen" => doitgen(),
         "2mm" => mm2(),
         "3mm" => mm3(),
-        other => panic!("unknown PolyBench kernel {other:?}"),
+        other => return Err(unknown(other, &KERNEL_NAMES)),
     }?;
     g.validate()?;
     Ok(g)
@@ -509,9 +515,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown PolyBench kernel")]
-    fn unknown_kernel_panics() {
-        let _ = kernel("nosuch");
+    fn unknown_kernel_is_a_typed_error() {
+        for build in [kernel, kernel_core] {
+            let err = build("nosuch").unwrap_err();
+            assert_eq!(
+                err,
+                DfgError::UnknownKernel {
+                    name: "nosuch".into(),
+                    valid: &KERNEL_NAMES,
+                }
+            );
+            assert!(err.to_string().contains("valid: atax, bicg,"), "{err}");
+        }
     }
 
     #[test]
@@ -531,12 +546,9 @@ mod tests {
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only on internal construction bugs (covered by
-/// tests).
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
+/// Returns [`DfgError::UnknownKernel`] for a name outside
+/// [`KERNEL_NAMES`]; any other [`DfgError`] would be an internal
+/// construction bug (covered by tests).
 pub fn kernel_core(name: &str) -> Result<Dfg, DfgError> {
     let mut b = Builder::new(&format!("{name}-core"));
     match name {
@@ -748,7 +760,7 @@ pub fn kernel_core(name: &str) -> Result<Dfg, DfgError> {
             let g = b.accumulate(m3, "g")?;
             b.store(g, "g_store")?;
         }
-        other => panic!("unknown PolyBench kernel {other:?}"),
+        other => return Err(unknown(other, &KERNEL_NAMES)),
     }
     b.finish()
 }
@@ -817,18 +829,16 @@ pub const EXTRA_KERNEL_NAMES: [&str; 4] = ["gemver", "jacobi-1d", "jacobi-2d", "
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only on internal construction bugs.
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
+/// Returns [`DfgError::UnknownKernel`] for a name outside
+/// [`EXTRA_KERNEL_NAMES`]; any other [`DfgError`] would be an internal
+/// construction bug.
 pub fn extra_kernel(name: &str) -> Result<Dfg, DfgError> {
     let g = match name {
         "gemver" => gemver(),
         "jacobi-1d" => jacobi1d(),
         "jacobi-2d" => jacobi2d(),
         "trisolv" => trisolv(),
-        other => panic!("unknown extra PolyBench kernel {other:?}"),
+        other => return Err(unknown(other, &EXTRA_KERNEL_NAMES)),
     }?;
     g.validate()?;
     Ok(g)
@@ -979,8 +989,13 @@ mod extra_tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown extra PolyBench kernel")]
-    fn unknown_extra_kernel_panics() {
-        let _ = extra_kernel("nope");
+    fn unknown_extra_kernel_is_a_typed_error() {
+        assert_eq!(
+            extra_kernel("nope").unwrap_err(),
+            DfgError::UnknownKernel {
+                name: "nope".into(),
+                valid: &EXTRA_KERNEL_NAMES,
+            }
+        );
     }
 }

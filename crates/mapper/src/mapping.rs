@@ -11,7 +11,7 @@ use lisa_arch::power::Activity;
 use lisa_arch::{Accelerator, ArchError, Mrrg, PeId, Resource};
 use lisa_dfg::{Dfg, EdgeId, NodeId};
 
-use crate::router::{self, RouterScratch};
+use crate::router::{self, Probe, RouterScratch, StepCost};
 use crate::MapperError;
 
 /// Where and when a node executes.
@@ -111,24 +111,18 @@ pub struct Mapping<'a> {
     scratch: RouterScratch,
 }
 
-/// Routing cost of placing a step for `value` on `(resource, time)`:
-/// `Some(1)` for a free cell, `Some(0)` when the cell already carries
-/// the same value at the same absolute time (fanout reuse), `None`
-/// otherwise. A free function over the occupancy grid so `route_edge`
-/// can lend the router its scratch and the cost closure simultaneously.
-fn step_cost(
-    cells: &[Cell],
-    mrrg: &Mrrg<'_>,
-    resource: Resource,
-    time: u32,
-    value: NodeId,
-) -> Option<u32> {
-    match cells[mrrg.index_at(resource, time)] {
-        Cell::Free => Some(1),
+/// Routing cost of a router probe for `value`: a fresh step on a free
+/// cell, a free reuse when the cell already carries the same value at
+/// the same absolute time (fanout reuse), `None` otherwise. A free
+/// function over the occupancy grid so `route_edge` can lend the router
+/// its scratch and the cost closure simultaneously.
+fn step_cost(cells: &[Cell], probe: Probe, value: NodeId) -> Option<StepCost> {
+    match cells[probe.cell] {
+        Cell::Free => Some(StepCost::Fresh),
         Cell::Op(_) => None,
         Cell::Route {
             value: v, time: t, ..
-        } => (v == value && t == time).then_some(0),
+        } => (v == value && t == probe.time).then_some(StepCost::Reuse),
     }
 }
 
@@ -322,6 +316,18 @@ impl<'a> Mapping<'a> {
         self.cells[self.mrrg.fu_index_at(pe, time)] == Cell::Free
     }
 
+    /// Occupancy-table row of the FUs at absolute `time`: the FU of PE
+    /// `p` sits at `fu_row(time) + p`. Callers probing many PEs at one
+    /// time fold the modulo slot once through this.
+    pub(crate) fn fu_row(&self, time: u32) -> usize {
+        self.mrrg.fu_index_at(PeId::new(0), time)
+    }
+
+    /// [`fu_free`](Self::fu_free) on a row from [`fu_row`](Self::fu_row).
+    pub(crate) fn fu_free_in_row(&self, row: usize, pe: PeId) -> bool {
+        self.cells[row + pe.index()] == Cell::Free
+    }
+
     /// Places `node` on `pe` at absolute `time`.
     ///
     /// # Errors
@@ -419,16 +425,16 @@ impl<'a> Mapping<'a> {
         // Split the field borrows so the router mutates the scratch while
         // the cost closure reads the occupancy grid — no per-call
         // `mem::take` of the scratch.
-        let (scratch, cells, mrrg) = (&mut self.scratch, &self.cells, &self.mrrg);
+        let (scratch, cells) = (&mut self.scratch, &self.cells);
         let found = router::find_route_in(
             scratch,
-            mrrg,
+            &self.mrrg,
             e.src,
             src.pe,
             src.time,
             dst_pe,
             dst_time,
-            |resource, time| step_cost(cells, mrrg, resource, time, e.src),
+            |probe| step_cost(cells, probe, e.src),
         );
         let steps = found.ok_or(MapperError::NoRoute(edge))?;
         // Commit: the router guarantees per-cell consistency, but a path

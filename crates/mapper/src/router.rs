@@ -10,10 +10,10 @@
 //!
 //! Costs are the number of *newly occupied* cells: reusing a cell the same
 //! value already holds at the same absolute cycle (fanout prefix sharing)
-//! is free, which is what makes multi-consumer nets affordable.
+//! is free, which is what makes multi-consumer nets affordable. Step costs
+//! are therefore only 0 or 1 ([`StepCost`]), and the search is a 0-1
+//! Dijkstra over an exact two-bucket queue.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use lisa_arch::{Mrrg, PeId, Resource};
@@ -23,6 +23,73 @@ use crate::mapping::RouteStep;
 
 /// Sentinel for "no parent" in [`RouterScratch::parent`].
 const NO_PARENT: usize = usize::MAX;
+
+/// Price of one route step — the only two values the router accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepCost {
+    /// The value already holds the cell at the same absolute cycle
+    /// (fanout prefix reuse): free.
+    Reuse = 0,
+    /// A fresh occupation of a free cell: one new cell.
+    Fresh = 1,
+}
+
+/// One cell the router asks the cost callback about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    /// The resource the value would occupy.
+    pub resource: Resource,
+    /// The absolute cycle it would occupy it in.
+    pub time: u32,
+    /// The occupancy-table index of `(resource, time)`, equal to
+    /// [`Mrrg::index_at`]; the router folds the modulo slot once per
+    /// layer instead of once per probe.
+    pub cell: usize,
+}
+
+/// Exact two-bucket queue of a 0-1 Dijkstra. Every queued state costs
+/// either the current level `cost` or `cost + 1`, so it pops states in
+/// exactly the `(cost, index)` order a binary min-heap over those pairs
+/// would: `current` is the current level sorted descending (the next pop
+/// is its last element; same-cost pushes from free steps are inserted
+/// in place), and `next` collects the following level unsorted until
+/// `current` drains.
+#[derive(Clone, Default)]
+struct BucketQueue {
+    cost: u32,
+    current: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl BucketQueue {
+    fn clear(&mut self) {
+        self.cost = 0;
+        self.current.clear();
+        self.next.clear();
+    }
+
+    fn push(&mut self, cost: u32, idx: u32) {
+        if cost == self.cost {
+            let at = self.current.partition_point(|&queued| queued > idx);
+            self.current.insert(at, idx);
+        } else {
+            debug_assert_eq!(cost, self.cost + 1, "0-1 steps only");
+            self.next.push(idx);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u32, usize)> {
+        if self.current.is_empty() {
+            if self.next.is_empty() {
+                return None;
+            }
+            std::mem::swap(&mut self.current, &mut self.next);
+            self.current.sort_unstable_by(|a, b| b.cmp(a));
+            self.cost += 1;
+        }
+        self.current.pop().map(|idx| (self.cost, idx as usize))
+    }
+}
 
 /// Reusable Dijkstra state. The search arrays are epoch-stamped: a cell is
 /// only valid when its epoch matches the current search's, so starting a
@@ -36,10 +103,10 @@ pub struct RouterScratch {
     resource: Vec<Option<Resource>>,
     epoch: Vec<u32>,
     cur: u32,
-    // (cost, state index). Indices fit u32 (layers × resources per slot),
-    // and the 8-byte entry keeps the heap's sift loops in fewer cache
-    // lines than a (u32, usize) tuple would.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    // State indices fit u32 (layers × resources per slot).
+    queue: BucketQueue,
+    /// Occupancy-table base of each layer's modulo slot.
+    layer_base: Vec<usize>,
     moves: Vec<Resource>,
 }
 
@@ -61,7 +128,7 @@ impl RouterScratch {
             self.resource.resize(state_count, None);
             self.epoch.resize(state_count, 0);
         }
-        self.heap.clear();
+        self.queue.clear();
         if self.cur == u32::MAX {
             // Epoch wrap: invalidate everything once, then restart.
             self.epoch.fill(0);
@@ -78,11 +145,16 @@ impl RouterScratch {
         }
     }
 
-    fn set(&mut self, idx: usize, cost: u32, resource: Resource, parent: usize) {
-        self.epoch[idx] = self.cur;
-        self.best[idx] = cost;
-        self.resource[idx] = Some(resource);
-        self.parent[idx] = parent;
+    /// Records `cost` for state `idx` if it improves on the best known,
+    /// and queues the state.
+    fn relax(&mut self, idx: usize, cost: u32, resource: Resource, parent: usize) {
+        if cost < self.best(idx) {
+            self.epoch[idx] = self.cur;
+            self.best[idx] = cost;
+            self.resource[idx] = Some(resource);
+            self.parent[idx] = parent;
+            self.queue.push(cost, idx as u32);
+        }
     }
 }
 
@@ -96,7 +168,7 @@ pub fn find_route(
     src_time: u32,
     dst_pe: PeId,
     dst_time: u32,
-    step_cost: impl Fn(Resource, u32) -> Option<u32>,
+    step_cost: impl Fn(Probe) -> Option<StepCost>,
 ) -> Option<Vec<RouteStep>> {
     let mut scratch = RouterScratch::default();
     find_route_in(
@@ -113,10 +185,10 @@ pub fn find_route(
 
 /// Finds a minimum-new-cost route.
 ///
-/// `step_cost(resource, time)` returns `None` when the cell is unusable
-/// (occupied by an op or a foreign value), `Some(0)` when the value already
-/// holds the cell at the same absolute time (fanout prefix reuse is free),
-/// and `Some(1)` for a fresh occupation.
+/// `step_cost(probe)` returns `None` when the probed cell is unusable
+/// (occupied by an op or a foreign value), [`StepCost::Reuse`] when the
+/// value already holds the cell at the same absolute time (fanout prefix
+/// reuse is free), and [`StepCost::Fresh`] for a fresh occupation.
 ///
 /// Returns the intermediate steps (empty when the consumer is directly
 /// adjacent one cycle later), or `None` if no conflict-free path exists.
@@ -129,7 +201,7 @@ pub fn find_route_in(
     src_time: u32,
     dst_pe: PeId,
     dst_time: u32,
-    step_cost: impl Fn(Resource, u32) -> Option<u32>,
+    step_cost: impl Fn(Probe) -> Option<StepCost>,
 ) -> Option<Vec<RouteStep>> {
     debug_assert!(dst_time > src_time, "router requires causal timing");
     let hops = dst_time - src_time;
@@ -141,20 +213,24 @@ pub fn find_route_in(
     }
     let layers = (hops - 1) as usize; // intermediate steps
 
-    // Dense state indexing: layer * resources_per_slot + resource offset.
+    // Dense state indexing: layer * resources_per_slot + resource offset;
+    // the occupancy index of the same resource is its layer's slot base
+    // plus the same offset.
+    let acc = mrrg.accelerator();
+    let (pe_count, regs) = (acc.pe_count(), acc.regs_per_pe());
     let per_slot = mrrg.resources_per_slot();
     let state_count = layers * per_slot;
     let resource_offset = |r: Resource| -> usize {
         match r {
             Resource::Fu(p) => p.index(),
-            Resource::Reg(p, reg) => {
-                mrrg.accelerator().pe_count()
-                    + p.index() * mrrg.accelerator().regs_per_pe()
-                    + reg as usize
-            }
+            Resource::Reg(p, reg) => pe_count + p.index() * regs + reg as usize,
         }
     };
     scratch.begin(state_count);
+    scratch.layer_base.clear();
+    scratch
+        .layer_base
+        .extend((0..layers as u32).map(|k| mrrg.slot(src_time + 1 + k) as usize * per_slot));
 
     // The moves buffer is taken out of the scratch so the borrow checker
     // allows mutating the search arrays while iterating it; `moves_from`
@@ -165,69 +241,70 @@ pub fn find_route_in(
     // a value still needs, so a state at layer `k` whose PE is further
     // than the remaining `layers - k` moves (counting the final consume
     // hop) can never feed the consumer. Pruned states only ever expand to
-    // other pruned states, so surviving costs, heap pop order (the total
+    // other pruned states, so surviving costs, queue pop order (the total
     // order on `(cost, idx)`), and the chosen route are exactly what the
     // unpruned search would produce. This holds for *any* true lower
     // bound: on big fabrics `hop_distance` comes from a landmark oracle
     // that may under-estimate far distances, which only admits extra
     // dead-end states — never changes the route (tested below against
     // the dense index).
-    let acc = mrrg.accelerator();
     let reachable =
         |r: Resource, layer: usize| acc.hop_distance(r.pe(), dst_pe) as usize <= layers - layer;
 
     // Seed layer 0 (cycle src_time + 1) from the producer FU.
     mrrg.moves_from_into(Resource::Fu(src_pe), &mut moves);
+    let base = scratch.layer_base[0];
     for &r in &moves {
         if !reachable(r, 0) {
             continue;
         }
-        let t = src_time + 1;
-        let Some(cost) = step_cost(r, t) else {
+        let offset = resource_offset(r);
+        let probe = Probe {
+            resource: r,
+            time: src_time + 1,
+            cell: base + offset,
+        };
+        let Some(step) = step_cost(probe) else {
             continue;
         };
-        let idx = resource_offset(r);
-        if cost < scratch.best(idx) {
-            scratch.set(idx, cost, r, NO_PARENT);
-            scratch.heap.push(Reverse((cost, idx as u32)));
-        }
+        scratch.relax(offset, step as u32, r, NO_PARENT);
     }
 
     let mut goal: Option<usize> = None;
-    while let Some(Reverse((cost, idx))) = scratch.heap.pop() {
-        let idx = idx as usize;
+    while let Some((cost, idx)) = scratch.queue.pop() {
         if cost > scratch.best(idx) {
             continue;
         }
         let layer = idx / per_slot;
         let r = scratch.resource[idx].expect("visited states hold a resource");
-        let time = src_time + 1 + layer as u32;
         if layer == layers - 1 {
             // Last intermediate layer: can it feed the consumer? Pops
-            // come off the heap in nondecreasing cost order, so the first
-            // consumable state is optimal — nothing later in the heap can
-            // strictly improve on it.
+            // come off the queue in nondecreasing cost order, so the
+            // first consumable state is optimal — nothing later in the
+            // queue can strictly improve on it.
             if mrrg.can_consume(r, dst_pe) {
                 goal = Some(idx);
                 break;
             }
             continue;
         }
+        let (next_layer, time) = (layer + 1, src_time + 2 + layer as u32);
+        let (state_base, cell_base) = (next_layer * per_slot, scratch.layer_base[next_layer]);
         mrrg.moves_from_into(r, &mut moves);
         for &next in &moves {
-            if !reachable(next, layer + 1) {
+            if !reachable(next, next_layer) {
                 continue;
             }
-            let nt = time + 1;
-            let Some(c) = step_cost(next, nt) else {
+            let offset = resource_offset(next);
+            let probe = Probe {
+                resource: next,
+                time,
+                cell: cell_base + offset,
+            };
+            let Some(step) = step_cost(probe) else {
                 continue;
             };
-            let nidx = (layer + 1) * per_slot + resource_offset(next);
-            let ncost = cost + c;
-            if ncost < scratch.best(nidx) {
-                scratch.set(nidx, ncost, next, idx);
-                scratch.heap.push(Reverse((ncost, nidx as u32)));
-            }
+            scratch.relax(state_base + offset, cost + step as u32, next, idx);
         }
     }
 
@@ -258,8 +335,253 @@ mod tests {
     use super::*;
     use lisa_arch::Accelerator;
 
-    fn any_usable(_r: Resource, _t: u32) -> Option<u32> {
-        Some(1)
+    fn any_usable(_probe: Probe) -> Option<StepCost> {
+        Some(StepCost::Fresh)
+    }
+
+    /// The binary-heap Dijkstra the 0-1 router replaced, kept verbatim
+    /// in search order as the differential reference: same layers, same
+    /// cone pruning, a `BinaryHeap<Reverse<(cost, idx)>>` queue, and
+    /// per-probe `index_at` folding left to the cost callback.
+    mod reference {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        use lisa_arch::{Mrrg, PeId, Resource};
+
+        use crate::mapping::RouteStep;
+
+        const NO_PARENT: usize = usize::MAX;
+
+        pub fn find_route(
+            mrrg: &Mrrg<'_>,
+            src_pe: PeId,
+            src_time: u32,
+            dst_pe: PeId,
+            dst_time: u32,
+            step_cost: impl Fn(Resource, u32) -> Option<u32>,
+        ) -> Option<Vec<RouteStep>> {
+            let hops = dst_time - src_time;
+            if hops == 1 {
+                return mrrg
+                    .can_consume(Resource::Fu(src_pe), dst_pe)
+                    .then(Vec::new);
+            }
+            let layers = (hops - 1) as usize;
+            let per_slot = mrrg.resources_per_slot();
+            let acc = mrrg.accelerator();
+            let resource_offset = |r: Resource| -> usize {
+                match r {
+                    Resource::Fu(p) => p.index(),
+                    Resource::Reg(p, reg) => {
+                        acc.pe_count() + p.index() * acc.regs_per_pe() + reg as usize
+                    }
+                }
+            };
+            let mut best = vec![u32::MAX; layers * per_slot];
+            let mut parent = vec![NO_PARENT; layers * per_slot];
+            let mut resource = vec![None; layers * per_slot];
+            let mut heap = BinaryHeap::new();
+            let reachable = |r: Resource, layer: usize| {
+                acc.hop_distance(r.pe(), dst_pe) as usize <= layers - layer
+            };
+            for r in mrrg.moves_from(Resource::Fu(src_pe)) {
+                if !reachable(r, 0) {
+                    continue;
+                }
+                let Some(cost) = step_cost(r, src_time + 1) else {
+                    continue;
+                };
+                let idx = resource_offset(r);
+                if cost < best[idx] {
+                    (best[idx], resource[idx], parent[idx]) = (cost, Some(r), NO_PARENT);
+                    heap.push(Reverse((cost, idx as u32)));
+                }
+            }
+            let mut goal = None;
+            while let Some(Reverse((cost, idx))) = heap.pop() {
+                let idx = idx as usize;
+                if cost > best[idx] {
+                    continue;
+                }
+                let layer = idx / per_slot;
+                let r = resource[idx].expect("visited");
+                let time = src_time + 1 + layer as u32;
+                if layer == layers - 1 {
+                    if mrrg.can_consume(r, dst_pe) {
+                        goal = Some(idx);
+                        break;
+                    }
+                    continue;
+                }
+                for next in mrrg.moves_from(r) {
+                    if !reachable(next, layer + 1) {
+                        continue;
+                    }
+                    let Some(c) = step_cost(next, time + 1) else {
+                        continue;
+                    };
+                    let nidx = (layer + 1) * per_slot + resource_offset(next);
+                    if cost + c < best[nidx] {
+                        (best[nidx], resource[nidx], parent[nidx]) = (cost + c, Some(next), idx);
+                        heap.push(Reverse((cost + c, nidx as u32)));
+                    }
+                }
+            }
+            let mut cur = goal?;
+            let mut steps = Vec::new();
+            loop {
+                steps.push(RouteStep {
+                    resource: resource[cur].expect("path"),
+                    time: src_time + 1 + (cur / per_slot) as u32,
+                });
+                match parent[cur] {
+                    NO_PARENT => break,
+                    prev => cur = prev,
+                }
+            }
+            steps.reverse();
+            Some(steps)
+        }
+    }
+
+    /// Occupancy of one cell in the differential test's random grids.
+    #[derive(Clone, Copy)]
+    enum Occ {
+        Free,
+        Blocked,
+        /// Holds the routed value at this absolute cycle.
+        Ours(u32),
+    }
+
+    fn occ_cost(grid: &[Occ], cell: usize, time: u32) -> Option<StepCost> {
+        match grid[cell] {
+            Occ::Free => Some(StepCost::Fresh),
+            Occ::Blocked => None,
+            Occ::Ours(t) => (t == time).then_some(StepCost::Reuse),
+        }
+    }
+
+    /// Routes `from -> to` on `grid` with the 0-1 router and with the
+    /// reference, asserts both agree (and that every probe's hoisted cell
+    /// index equals `index_at`), and returns the route.
+    fn route_both(
+        scratch: &mut RouterScratch,
+        mrrg: &Mrrg<'_>,
+        grid: &[Occ],
+        (src, src_time): (PeId, u32),
+        (dst, dst_time): (PeId, u32),
+    ) -> Option<Vec<RouteStep>> {
+        let v = NodeId::new(0);
+        let got = find_route_in(scratch, mrrg, v, src, src_time, dst, dst_time, |p| {
+            assert_eq!(
+                p.cell,
+                mrrg.index_at(p.resource, p.time),
+                "hoisted cell index"
+            );
+            occ_cost(grid, p.cell, p.time)
+        });
+        let expected = reference::find_route(mrrg, src, src_time, dst, dst_time, |r, t| {
+            occ_cost(grid, mrrg.index_at(r, t), t).map(|c| c as u32)
+        });
+        assert_eq!(got, expected, "{src}@{src_time} -> {dst}@{dst_time}");
+        got
+    }
+
+    lisa_rng::props! {
+        cases = 160;
+
+        /// The 0-1 router returns exactly the binary-heap reference's
+        /// route (or both fail) on random occupancy grids: congestion
+        /// (op and foreign cells), stray cells of the same value at
+        /// other cycles, a planted fanout prefix the value may reuse for
+        /// free, and goals the latency cannot reach. Every probe's
+        /// hoisted cell index must equal `index_at`.
+        fn zero_one_router_matches_the_heap_reference(
+            fabric in 0usize..4,
+            ii in 1u32..6,
+            src in 0usize..144,
+            dst in 0usize..144,
+            fanout in 0usize..144,
+            src_time in 0u32..5,
+            latency in 1u32..16,
+            blocked_pct in 0u32..45,
+            grid_seed in 0u64..u64::MAX,
+        ) {
+            let acc = match fabric {
+                0 => Accelerator::cgra("4x4", 4, 4),
+                1 => Accelerator::cgra("4x4-lr", 4, 4).with_regs_per_pe(1),
+                2 => Accelerator::cgra("8x8", 8, 8),
+                _ => Accelerator::cgra("12x12", 12, 12),
+            };
+            let n = acc.pe_count();
+            let [src, dst, fanout] = [src, dst, fanout].map(|pe| PeId::new(pe % n));
+            let mrrg = Mrrg::new(&acc, ii).unwrap();
+            let mut rng = lisa_rng::Rng::seed_from_u64(grid_seed);
+            let mut grid: Vec<Occ> = (0..mrrg.resource_count())
+                .map(|cell| {
+                    let slot = (cell / mrrg.resources_per_slot()) as u32;
+                    match rng.gen_range(0..100u32) {
+                        x if x < blocked_pct => Occ::Blocked,
+                        x if x < blocked_pct + 8 => {
+                            Occ::Ours(slot + ii * rng.gen_range(0..6u32))
+                        }
+                        _ => Occ::Free,
+                    }
+                })
+                .collect();
+            let src_fu = mrrg.index_at(Resource::Fu(src), src_time);
+            grid[src_fu] = Occ::Blocked;
+            let mut scratch = RouterScratch::default();
+            // Plant an earlier fanout branch of the same value, as
+            // `Mapping::route_edge` would leave it, then route another
+            // consumer through the same reused scratch.
+            let planted = route_both(
+                &mut scratch,
+                &mrrg,
+                &grid,
+                (src, src_time),
+                (fanout, src_time + latency + 1),
+            );
+            for step in planted.iter().flatten() {
+                grid[mrrg.index_at(step.resource, step.time)] = Occ::Ours(step.time);
+            }
+            let dst_time = src_time + latency;
+            route_both(&mut scratch, &mrrg, &grid, (src, src_time), (dst, dst_time));
+        }
+    }
+
+    #[test]
+    fn fanout_prefix_is_reused_for_free() {
+        // A planted branch 0 -> 3 on a register-less 1x4 line; the second
+        // consumer at PE 2 must follow the planted FU(1)@1 step for free
+        // rather than occupy a fresh register or FU.
+        let acc = Accelerator::cgra("1x4", 1, 4).with_regs_per_pe(0);
+        let mrrg = Mrrg::new(&acc, 8).unwrap();
+        let planted = [
+            (Resource::Fu(PeId::new(1)), 1),
+            (Resource::Fu(PeId::new(2)), 2),
+        ];
+        let cost = |p: Probe| {
+            if planted.contains(&(p.resource, p.time)) {
+                Some(StepCost::Reuse)
+            } else {
+                Some(StepCost::Fresh)
+            }
+        };
+        let steps = find_route(
+            &mrrg,
+            NodeId::new(0),
+            PeId::new(0),
+            0,
+            PeId::new(2),
+            3,
+            cost,
+        )
+        .unwrap();
+        assert_eq!(steps.len(), 2);
+        assert_eq!(steps[0].resource, Resource::Fu(PeId::new(1)));
+        assert_eq!(steps[1].resource, Resource::Fu(PeId::new(2)));
     }
 
     #[test]
@@ -343,8 +665,9 @@ mod tests {
         let acc = Accelerator::cgra("1x3", 1, 3).with_regs_per_pe(0);
         let mrrg = Mrrg::new(&acc, 4).unwrap();
         // 0 -> 2 in 2 cycles must pass FU(1)@1; block it.
-        let blocked =
-            |r: Resource, t: u32| (!(r == Resource::Fu(PeId::new(1)) && t == 1)).then_some(1);
+        let blocked = |p: Probe| {
+            (!(p.resource == Resource::Fu(PeId::new(1)) && p.time == 1)).then_some(StepCost::Fresh)
+        };
         let route = find_route(
             &mrrg,
             NodeId::new(0),
@@ -409,8 +732,9 @@ mod tests {
         let mrrg_d = Mrrg::new(&dense, 4).unwrap();
 
         // Congestion pattern: scattered FUs unusable at odd cycles.
-        let congested = |r: Resource, t: u32| {
-            (!(matches!(r, Resource::Fu(p) if p.index() % 7 == 3) && t % 2 == 1)).then_some(1)
+        let congested = |p: Probe| {
+            (!(matches!(p.resource, Resource::Fu(pe) if pe.index() % 7 == 3) && p.time % 2 == 1))
+                .then_some(StepCost::Fresh)
         };
         // (src, dst, latency): corner-to-corner crosses Manhattan 22,
         // far beyond the oracle's exact radius; the tight case gives the
@@ -426,7 +750,7 @@ mod tests {
         ];
         for (src, dst, latency) in cases {
             for cost in [
-                &any_usable as &dyn Fn(Resource, u32) -> Option<u32>,
+                &any_usable as &dyn Fn(Probe) -> Option<StepCost>,
                 &congested,
             ] {
                 let ro = find_route(

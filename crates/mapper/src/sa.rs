@@ -180,14 +180,21 @@ pub fn mapping_cost_scan(m: &Mapping<'_>) -> f64 {
 /// offending successor edges simply fail to route (and cost accordingly).
 pub(crate) fn candidate_slots(m: &Mapping<'_>, node: NodeId) -> Vec<(PeId, u32)> {
     let mut out = Vec::new();
-    candidate_slots_into(m, node, &mut out);
+    candidate_slots_into(m, node, &mut out, &mut Vec::new());
     out
 }
 
 /// Allocation-free variant of [`candidate_slots`]: clears `out` and
-/// refills it. The annealer evaluates candidates for every remapped node
-/// of every movement, so hot paths reuse one buffer.
-fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)>) {
+/// refills it; `fu_rows` is scratch for the FU occupancy row of each
+/// swept time, folded modulo II once per node instead of once per PE.
+/// The annealer evaluates candidates for every remapped node of every
+/// movement, so hot paths reuse both buffers.
+fn candidate_slots_into(
+    m: &Mapping<'_>,
+    node: NodeId,
+    out: &mut Vec<(PeId, u32)>,
+    fu_rows: &mut Vec<usize>,
+) {
     out.clear();
     let dfg = m.dfg();
     let acc = m.accelerator();
@@ -208,20 +215,22 @@ fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)
     if lo > hi {
         hi = m.schedule_window() - 1;
     }
+    // Times fold modulo II, so sweeping 2·II consecutive cycles visits
+    // every slot of the PE twice; keep only the earliest two free times
+    // per PE so schedules stay compact (late placements starve their
+    // successors of causal slots and deadlock the annealer).
+    let span_hi = hi.min(lo + m.ii().max(2) * 2);
+    fu_rows.clear();
+    fu_rows.extend((lo..=span_hi).map(|t| m.fu_row(t)));
     let op = dfg.node(node).op;
     for pe in 0..acc.pe_count() {
         let pe = PeId::new(pe);
         if !acc.supports(pe, op) {
             continue;
         }
-        // Times fold modulo II, so sweeping 2·II consecutive cycles visits
-        // every slot of the PE twice; keep only the earliest two free times
-        // per PE so schedules stay compact (late placements starve their
-        // successors of causal slots and deadlock the annealer).
-        let span_hi = hi.min(lo + m.ii().max(2) * 2);
         let mut kept = 0;
-        for t in lo..=span_hi {
-            if m.fu_free(pe, t) {
+        for (t, &row) in (lo..).zip(fu_rows.iter()) {
+            if m.fu_free_in_row(row, pe) {
                 out.push((pe, t));
                 kept += 1;
                 if kept == 2 {
@@ -243,6 +252,8 @@ pub(crate) struct MoveBuffers {
     pub(crate) nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,
     candidates: Vec<(PeId, u32)>,
+    /// FU occupancy rows of the candidate sweep (`candidate_slots_into`).
+    fu_rows: Vec<usize>,
     /// Victims' pre-movement placements (for the displacement feature).
     displaced: Vec<(NodeId, Placement)>,
     /// Movement feature vector, filled when a filter or a sink wants it.
@@ -556,7 +567,7 @@ pub(crate) fn place_nodes<P: SaPolicy>(
     policy.order_nodes(mapping, &mut bufs.nodes);
     for i in 0..bufs.nodes.len() {
         let node = bufs.nodes[i];
-        candidate_slots_into(mapping, node, &mut bufs.candidates);
+        candidate_slots_into(mapping, node, &mut bufs.candidates, &mut bufs.fu_rows);
         if bufs.candidates.is_empty() {
             continue;
         }

@@ -171,9 +171,15 @@ fn every_lane_mix_reruns_byte_identically() {
     let dfg = polybench::kernel("doitgen").unwrap();
     for spec in ["constructive", "evolutionary", "sa,evolutionary", "mixed"] {
         let strategy = StrategySpec::parse(spec).unwrap();
+        // Each run must land a verified mapping: two failed runs would
+        // compare equal without saying anything about determinism.
         let run = || {
             let sa = SaMapper::new(SaParams::fast(), 11).with_strategy(strategy.clone());
-            sa.map_at_ii(&dfg, &acc, 8).map(|m| digest(&m))
+            let m = sa
+                .map_at_ii(&dfg, &acc, 8)
+                .unwrap_or_else(|| panic!("strategy `{spec}` maps doitgen at II 8"));
+            m.verify().expect("winner verifies");
+            digest(&m)
         };
         assert_eq!(run(), run(), "strategy `{spec}` rerun diverged");
     }

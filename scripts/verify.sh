@@ -20,7 +20,7 @@ cargo run -q --release --offline -p lisa-lint -- --json >target/lint/lint.json
 echo "verify: lisa-lint clean"
 
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 # The benchmark package (BENCHMARK.json) drives the mapper API directly
 # (LabelSaMapper, IiMapper, SaParams, StrategySpec): build and unit-test

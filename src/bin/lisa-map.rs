@@ -363,9 +363,9 @@ fn build_dfg(spec: &str, factor: u32) -> Result<Dfg, String> {
         let seed: u64 = seed.parse().map_err(|e| format!("bad rand seed: {e}"))?;
         generate_random_dfg(&RandomDfgConfig::default(), seed)
     } else if let Some(core) = spec.strip_prefix("core:") {
-        polybench::kernel_core(core).map_err(|e| e.to_string())?
+        polybench::kernel_core(core).map_err(|e| format!("{e}\n{}", usage()))?
     } else {
-        polybench::kernel(spec).map_err(|e| e.to_string())?
+        polybench::kernel(spec).map_err(|e| format!("{e}\n{}", usage()))?
     };
     Ok(if factor > 1 {
         unroll(&base, factor)

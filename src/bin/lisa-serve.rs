@@ -187,9 +187,9 @@ fn build_dfg(spec: &str) -> Result<Dfg, String> {
         let seed: u64 = seed.parse().map_err(|e| format!("bad rand seed: {e}"))?;
         Ok(generate_random_dfg(&RandomDfgConfig::default(), seed))
     } else if let Some(core) = spec.strip_prefix("core:") {
-        polybench::kernel_core(core).map_err(|e| e.to_string())
+        polybench::kernel_core(core).map_err(|e| format!("{e}\n{}", usage()))
     } else {
-        polybench::kernel(spec).map_err(|e| e.to_string())
+        polybench::kernel(spec).map_err(|e| format!("{e}\n{}", usage()))
     }
 }
 
@@ -263,17 +263,19 @@ fn exchange(conn: &mut TcpStream, payload: &[u8]) -> Result<String, String> {
 }
 
 fn run_client(opts: ClientOptions) -> Result<(), String> {
+    // A bad kernel name is a usage error, reported before connecting.
+    let dfg = opts.kernel.as_deref().map(build_dfg).transpose()?;
     let mut conn = TcpStream::connect(&opts.connect)
         .map_err(|e| format!("connecting {}: {e}", opts.connect))?;
 
     let mut failed = false;
-    if let Some(spec) = &opts.kernel {
+    if let Some(dfg) = dfg {
         let request = MapRequest {
             accelerator: opts.arch.clone(),
             seed: opts.seed,
             max_ii: opts.max_ii,
             strategy: opts.strategy.clone(),
-            dfg: build_dfg(spec)?,
+            dfg,
         };
         let body = exchange(&mut conn, request.canonical_text().as_bytes())?;
         print!("{body}");

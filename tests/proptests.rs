@@ -224,19 +224,19 @@ lisa_rng::props! {
         blocked_mask in 0u64..u64::MAX,
     ) {
         use lisa::arch::{Mrrg, Resource};
-        use lisa::mapper::router::find_route;
+        use lisa::mapper::router::{find_route, Probe, StepCost};
 
         let acc = Accelerator::cgra("4x4", 4, 4);
         let mrrg = Mrrg::new(&acc, ii).expect("ii in range");
         let src_pe = PeId::new(src);
         let dst_pe = PeId::new(dst);
         // Pseudorandomly block some FU cells (never the endpoints).
-        let cost = |r: Resource, t: u32| -> Option<u32> {
-            let idx = mrrg.index_at(r, t) as u64 % 64;
-            if blocked_mask & (1 << idx) != 0 && r.is_fu() {
+        let cost = |p: Probe| -> Option<StepCost> {
+            let idx = p.cell as u64 % 64;
+            if blocked_mask & (1 << idx) != 0 && p.resource.is_fu() {
                 None
             } else {
-                Some(1)
+                Some(StepCost::Fresh)
             }
         };
         if let Some(steps) = find_route(&mrrg, lisa::dfg::NodeId::new(0), src_pe, 0, dst_pe, latency, cost) {
