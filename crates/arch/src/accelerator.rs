@@ -98,6 +98,9 @@ pub struct Accelerator {
     /// they read this table instead of dividing ids by `cols`.
     coords: Vec<Coord>,
     neighbors: Vec<Vec<PeId>>,
+    /// `neighbors` as PE bitsets, for the router's bit-parallel search;
+    /// rebuilt whenever the interconnect changes.
+    links: LinkMasks,
     /// Distance-index policy chosen by [`Self::with_distance_mode`]
     /// (default [`DistanceMode::Auto`]); remembered so interconnect
     /// changes rebuild the same kind of index.
@@ -141,6 +144,7 @@ impl Accelerator {
             max_ii: Self::DEFAULT_MAX_II,
             kind,
             coords: grid_coords(rows, cols),
+            links: LinkMasks::build(&neighbors),
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
@@ -169,6 +173,7 @@ impl Accelerator {
             max_ii: 1,
             kind: AcceleratorKind::Systolic,
             coords: grid_coords(rows, cols),
+            links: LinkMasks::build(&neighbors),
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
@@ -264,6 +269,7 @@ impl Accelerator {
             }
             Interconnect::MultiHop { radius } => multihop_neighbors(self.rows, self.cols, radius),
         };
+        self.links = LinkMasks::build(&self.neighbors);
         self.dist = DistanceIndex::build(&self.neighbors, self.dist_mode);
         self
     }
@@ -347,6 +353,25 @@ impl Accelerator {
     /// Whether `src` can send a value to `dst` over one link hop.
     pub fn linked(&self, src: PeId, dst: PeId) -> bool {
         self.neighbors[src.index()].contains(&dst)
+    }
+
+    /// `u64` words in a PE bitset: bit `p % 64` of word `p / 64` stands
+    /// for PE `p`.
+    pub fn mask_words(&self) -> usize {
+        self.links.words
+    }
+
+    /// The outgoing neighbours of `pe` as a PE bitset, trimmed to its
+    /// nonzero words: `(first, words)` covers words `first..first +
+    /// words.len()` of the full mask, and every other word is zero.
+    pub fn out_mask(&self, pe: PeId) -> (usize, &[u64]) {
+        self.links.out.trimmed(pe.index())
+    }
+
+    /// The PEs that link to `pe` as a PE bitset, trimmed like
+    /// [`out_mask`](Self::out_mask).
+    pub fn in_mask(&self, pe: PeId) -> (usize, &[u64]) {
+        self.links.inn.trimmed(pe.index())
     }
 
     /// Spatial distance between two PEs: Manhattan distance on the grid
@@ -450,6 +475,73 @@ impl fmt::Display for Accelerator {
             "{} ({}x{} {:?}, {} regs/PE, max II {})",
             self.name, self.rows, self.cols, self.kind, self.regs_per_pe, self.max_ii
         )
+    }
+}
+
+/// One bitset per PE, each trimmed to the span of its nonzero words so
+/// that OR-ing a neighbourhood into a frontier on a 1024-PE fabric
+/// touches one or two words, not sixteen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TrimmedMasks {
+    /// Per PE: `(offset into bits, first word, word count)`.
+    span: Vec<(u32, u16, u16)>,
+    bits: Vec<u64>,
+}
+
+impl TrimmedMasks {
+    /// Builds the masks of `members`: `members[p]` lists the PEs in PE
+    /// `p`'s set.
+    fn build(words: usize, members: &[Vec<usize>]) -> Self {
+        let mut span = Vec::with_capacity(members.len());
+        let mut bits = Vec::new();
+        let mut full = vec![0u64; words];
+        for set in members {
+            full.fill(0);
+            for &q in set {
+                full[q / 64] |= 1 << (q % 64);
+            }
+            let first = full.iter().position(|&w| w != 0).unwrap_or(0);
+            let end = full.iter().rposition(|&w| w != 0).map_or(first, |l| l + 1);
+            span.push((bits.len() as u32, first as u16, (end - first) as u16));
+            bits.extend_from_slice(&full[first..end]);
+        }
+        TrimmedMasks { span, bits }
+    }
+
+    fn trimmed(&self, p: usize) -> (usize, &[u64]) {
+        let (at, first, len) = self.span[p];
+        let at = at as usize;
+        (usize::from(first), &self.bits[at..at + usize::from(len)])
+    }
+}
+
+/// Out- and in-neighbour bitsets of every PE, precomputed once per
+/// interconnect.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct LinkMasks {
+    words: usize,
+    out: TrimmedMasks,
+    inn: TrimmedMasks,
+}
+
+impl LinkMasks {
+    fn build(neighbors: &[Vec<PeId>]) -> Self {
+        let words = neighbors.len().div_ceil(64);
+        let out: Vec<Vec<usize>> = neighbors
+            .iter()
+            .map(|ns| ns.iter().map(|q| q.index()).collect())
+            .collect();
+        let mut inn = vec![Vec::new(); neighbors.len()];
+        for (p, ns) in out.iter().enumerate() {
+            for &q in ns {
+                inn[q].push(p);
+            }
+        }
+        LinkMasks {
+            words,
+            out: TrimmedMasks::build(words, &out),
+            inn: TrimmedMasks::build(words, &inn),
+        }
     }
 }
 
@@ -876,6 +968,37 @@ mod interconnect_tests {
         // Links stay symmetric.
         for &q in n {
             assert!(a.linked(q, PeId::new(5)));
+        }
+    }
+
+    /// The router's link bitsets agree with `linked` in both directions
+    /// on every topology, across word boundaries.
+    #[test]
+    fn link_masks_mirror_the_link_graph() {
+        let bit = |(first, words): (usize, &[u64]), q: usize| {
+            (q / 64)
+                .checked_sub(first)
+                .and_then(|j| words.get(j))
+                .is_some_and(|w| w & (1 << (q % 64)) != 0)
+        };
+        for a in [
+            Accelerator::cgra("4x4", 4, 4),
+            Accelerator::cgra("9x9", 9, 9),
+            Accelerator::cgra("hy", 9, 9).with_interconnect(Interconnect::MultiHop { radius: 2 }),
+            Accelerator::systolic("s", 5, 5),
+            Accelerator::cgra("32x32", 32, 32),
+        ] {
+            let n = a.pe_count();
+            assert_eq!(a.mask_words(), n.div_ceil(64));
+            for p in (0..n).map(PeId::new) {
+                let (first, words) = a.out_mask(p);
+                assert!(first + words.len() <= a.mask_words());
+                assert!(words.first().is_some_and(|&w| w != 0), "{p}: untrimmed");
+                for q in (0..n).map(PeId::new) {
+                    assert_eq!(bit(a.out_mask(p), q.index()), a.linked(p, q), "{p}->{q}");
+                    assert_eq!(bit(a.in_mask(q), p.index()), a.linked(p, q), "{q}<-{p}");
+                }
+            }
         }
     }
 

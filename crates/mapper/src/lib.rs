@@ -68,5 +68,5 @@ pub use mapping::{Mapping, Placement, RouteStep};
 pub use predictor::{FilterStats, MovementScorer, MOVEMENT_FEATURE_DIM};
 pub use router::RouterScratch;
 pub use sa::{anneal_chain, SaMapper, SaParams};
-pub use schedule::{IiMapper, IiSearch, MappingOutcome};
+pub use schedule::{IiMapper, IiSearch, MappingOutcome, Rejection, SearchReport};
 pub use strategy::{LaneKind, ParseStrategyError, SearchStrategy, StrategySpec};

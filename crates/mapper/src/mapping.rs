@@ -11,7 +11,7 @@ use lisa_arch::power::Activity;
 use lisa_arch::{Accelerator, ArchError, Mrrg, PeId, Resource};
 use lisa_dfg::{Dfg, EdgeId, NodeId};
 
-use crate::router::{self, Probe, RouterScratch, StepCost};
+use crate::router::{self, Occupancy, RouterScratch};
 use crate::MapperError;
 
 /// Where and when a node executes.
@@ -99,6 +99,9 @@ pub struct Mapping<'a> {
     placements: Vec<Option<Placement>>,
     routes: Vec<Option<Vec<RouteStep>>>,
     cells: Vec<Cell>,
+    /// `cells` as per-slot bitsets (set = not `Free`), the router's view
+    /// of the grid; kept in step at every cell transition.
+    busy: Occupancy,
     // Incremental cost counters, maintained by every mutator so
     // `mapping_cost` is O(1) instead of rescanning grids per movement.
     unplaced: usize,
@@ -109,21 +112,6 @@ pub struct Mapping<'a> {
     journal: Vec<Delta>,
     txn: bool,
     scratch: RouterScratch,
-}
-
-/// Routing cost of a router probe for `value`: a fresh step on a free
-/// cell, a free reuse when the cell already carries the same value at
-/// the same absolute time (fanout reuse), `None` otherwise. A free
-/// function over the occupancy grid so `route_edge` can lend the router
-/// its scratch and the cost closure simultaneously.
-fn step_cost(cells: &[Cell], probe: Probe, value: NodeId) -> Option<StepCost> {
-    match cells[probe.cell] {
-        Cell::Free => Some(StepCost::Fresh),
-        Cell::Op(_) => None,
-        Cell::Route {
-            value: v, time: t, ..
-        } => (v == value && t == probe.time).then_some(StepCost::Reuse),
-    }
 }
 
 impl<'a> Mapping<'a> {
@@ -141,6 +129,7 @@ impl<'a> Mapping<'a> {
     pub fn new(dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Result<Self, ArchError> {
         let mrrg = Mrrg::new(acc, ii)?;
         let cells = vec![Cell::Free; mrrg.resource_count()];
+        let busy = Occupancy::new(&mrrg);
         let asap = lisa_dfg::analysis::asap(dfg);
         let alap = lisa_dfg::analysis::alap(dfg);
         let window = asap.iter().copied().max().map_or(1, |m| m + 1) + Self::SLACK_IIS * ii;
@@ -153,6 +142,7 @@ impl<'a> Mapping<'a> {
             placements: vec![None; dfg.node_count()],
             routes: vec![None; dfg.edge_count()],
             cells,
+            busy,
             unplaced: dfg.node_count(),
             unrouted: dfg.edge_count(),
             route_cells: 0,
@@ -254,6 +244,7 @@ impl<'a> Mapping<'a> {
                     let idx = self.mrrg.fu_index_at(p.pe, p.time);
                     debug_assert_eq!(self.cells[idx], Cell::Op(node));
                     self.cells[idx] = Cell::Free;
+                    self.busy.release(&self.mrrg, Resource::Fu(p.pe), p.time);
                     self.unplaced += 1;
                     self.lateness -= u64::from(p.time);
                 }
@@ -261,6 +252,7 @@ impl<'a> Mapping<'a> {
                     let idx = self.mrrg.fu_index_at(p.pe, p.time);
                     debug_assert_eq!(self.cells[idx], Cell::Free);
                     self.cells[idx] = Cell::Op(node);
+                    self.busy.occupy(&self.mrrg, Resource::Fu(p.pe), p.time);
                     self.placements[node.index()] = Some(p);
                     self.unplaced -= 1;
                     self.lateness += u64::from(p.time);
@@ -280,6 +272,7 @@ impl<'a> Mapping<'a> {
                                     time: s.time,
                                     refs: 1,
                                 };
+                                self.busy.occupy(&self.mrrg, s.resource, s.time);
                                 self.route_cells += 1;
                             }
                             Cell::Route {
@@ -353,6 +346,7 @@ impl<'a> Mapping<'a> {
             return Err(MapperError::SlotOccupied { node, pe, time });
         }
         self.cells[idx] = Cell::Op(node);
+        self.busy.occupy(&self.mrrg, Resource::Fu(pe), time);
         self.placements[node.index()] = Some(Placement { pe, time });
         self.unplaced -= 1;
         self.lateness += u64::from(time);
@@ -380,6 +374,7 @@ impl<'a> Mapping<'a> {
         let idx = self.mrrg.fu_index_at(p.pe, p.time);
         debug_assert_eq!(self.cells[idx], Cell::Op(node));
         self.cells[idx] = Cell::Free;
+        self.busy.release(&self.mrrg, Resource::Fu(p.pe), p.time);
         self.unplaced += 1;
         self.lateness -= u64::from(p.time);
         if self.txn {
@@ -397,8 +392,9 @@ impl<'a> Mapping<'a> {
     }
 
     /// Routes an edge between its placed endpoints with a minimum-cost
-    /// conflict-free path (Dijkstra over the time-expanded MRRG). Returns
-    /// the number of *newly occupied* resource cells.
+    /// conflict-free path (Dijkstra's route over the time-expanded MRRG,
+    /// see [`router`]). Returns the number of *newly occupied* resource
+    /// cells.
     ///
     /// # Errors
     ///
@@ -422,19 +418,22 @@ impl<'a> Mapping<'a> {
                 dst_time,
             });
         }
-        // Split the field borrows so the router mutates the scratch while
-        // the cost closure reads the occupancy grid — no per-call
-        // `mem::take` of the scratch.
-        let (scratch, cells) = (&mut self.scratch, &self.cells);
+        // The value's other fanout branches are the cells it may reuse.
+        let routes = &self.routes;
+        let held = self
+            .dfg
+            .out_edges(e.src)
+            .iter()
+            .filter_map(|o| routes[o.index()].as_deref())
+            .flatten()
+            .copied();
         let found = router::find_route_in(
-            scratch,
+            &mut self.scratch,
             &self.mrrg,
-            e.src,
-            src.pe,
-            src.time,
-            dst_pe,
-            dst_time,
-            |probe| step_cost(cells, probe, e.src),
+            &self.busy,
+            held,
+            (src.pe, src.time),
+            (dst_pe, dst_time),
         );
         let steps = found.ok_or(MapperError::NoRoute(edge))?;
         // Commit: the router guarantees per-cell consistency, but a path
@@ -459,6 +458,7 @@ impl<'a> Mapping<'a> {
                         time: s.time,
                         refs: 1,
                     };
+                    self.busy.occupy(&self.mrrg, s.resource, s.time);
                     new_cells += 1;
                 }
                 Cell::Route { value, time, refs } => {
@@ -499,6 +499,7 @@ impl<'a> Mapping<'a> {
                     *refs -= 1;
                     if *refs == 0 {
                         self.cells[idx] = Cell::Free;
+                        self.busy.release(&self.mrrg, s.resource, s.time);
                         self.route_cells -= 1;
                     }
                 }
@@ -650,6 +651,22 @@ impl<'a> Mapping<'a> {
         }
         if self.txn || !self.journal.is_empty() {
             return Err("verify called with an open transaction".to_string());
+        }
+        // The router's bitsets must mark exactly the non-free cells.
+        let acc = self.accelerator();
+        let mut scanned_busy = Occupancy::new(&self.mrrg);
+        for t in 0..self.ii() {
+            for pe in (0..acc.pe_count()).map(PeId::new) {
+                let regs = (0..acc.regs_per_pe()).map(|r| Resource::Reg(pe, r as u8));
+                for r in std::iter::once(Resource::Fu(pe)).chain(regs) {
+                    if self.cells[self.mrrg.index_at(r, t)] != Cell::Free {
+                        scanned_busy.occupy(&self.mrrg, r, t);
+                    }
+                }
+            }
+        }
+        if self.busy != scanned_busy {
+            return Err("occupancy bitsets disagree with the cell grid".to_string());
         }
         // Placement capability + uniqueness. Ordered map (DET001): only
         // keyed lookups run here, but `verify` reports the *first*
@@ -941,6 +958,47 @@ mod tests {
 
         assert_eq!(format!("{m:?}"), before);
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn rollback_restores_the_occupancy_bitsets() {
+        let dfg = chain3();
+        let acc = Accelerator::cgra("3x3", 3, 3);
+        let mut m = Mapping::new(&dfg, &acc, 4).unwrap();
+        m.place(NodeId::new(0), PeId::new(0), 0).unwrap();
+        m.place(NodeId::new(1), PeId::new(8), 4).unwrap();
+        m.route_edge(EdgeId::new(0)).unwrap();
+        let before = m.busy.clone();
+
+        // Every transition kind: unplace (ripping a route), place, route,
+        // unroute, all undone in reverse.
+        m.begin_txn();
+        m.unplace(NodeId::new(1));
+        assert_ne!(m.busy, before);
+        m.place(NodeId::new(1), PeId::new(1), 1).unwrap();
+        m.place(NodeId::new(2), PeId::new(5), 5).unwrap();
+        m.route_edge(EdgeId::new(0)).unwrap();
+        m.route_edge(EdgeId::new(1)).unwrap();
+        m.unroute_edge(EdgeId::new(1));
+        m.route_edge(EdgeId::new(1)).unwrap();
+        m.rollback();
+
+        assert_eq!(m.busy, before);
+        m.verify().unwrap();
+    }
+
+    #[test]
+    fn verify_catches_stale_bitsets() {
+        let dfg = chain3();
+        let acc = Accelerator::cgra("3x3", 3, 3);
+        let mut m = Mapping::new(&dfg, &acc, 4).unwrap();
+        m.place(NodeId::new(0), PeId::new(0), 0).unwrap();
+        m.verify().unwrap();
+        m.busy.release(&m.mrrg, Resource::Fu(PeId::new(0)), 0);
+        assert!(m.verify().unwrap_err().contains("bitsets"));
+        m.busy.occupy(&m.mrrg, Resource::Fu(PeId::new(0)), 0);
+        m.busy.occupy(&m.mrrg, Resource::Reg(PeId::new(4), 2), 3);
+        assert!(m.verify().unwrap_err().contains("bitsets"));
     }
 
     #[test]

@@ -80,6 +80,47 @@ impl MappingOutcome {
     }
 }
 
+/// An II attempt whose mapper returned a mapping that failed the search's
+/// own checks (complete, at the attempted II, and [`Mapping::verify`]).
+/// The search never returns such a mapping: the attempt counts as a
+/// failed II and the search moves on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rejection {
+    /// The attempted II.
+    pub ii: u32,
+    /// Which check failed.
+    pub reason: String,
+}
+
+/// Everything one II search produced.
+#[derive(Debug)]
+pub struct SearchReport<'a> {
+    /// The metrics of the search.
+    pub outcome: MappingOutcome,
+    /// The mapping at the outcome's II, if any; always complete and
+    /// verified.
+    pub mapping: Option<Mapping<'a>>,
+    /// Attempts whose mappings were rejected, in II order.
+    pub rejected: Vec<Rejection>,
+}
+
+/// The checks every mapping passes before an II search returns it, in
+/// release builds too: a cached or served mapping is only as sound as
+/// this.
+fn check(m: &Mapping<'_>, ii: u32) -> Result<(), String> {
+    if m.ii() != ii {
+        return Err(format!("mapping is at II {}", m.ii()));
+    }
+    if !m.is_complete() {
+        return Err(format!(
+            "incomplete: {} unplaced nodes, {} unrouted edges",
+            m.unplaced_count(),
+            m.unrouted_count()
+        ));
+    }
+    m.verify()
+}
+
 /// II search driver: tries MII, MII+1, ... up to the configuration depth.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IiSearch {
@@ -112,6 +153,21 @@ impl IiSearch {
         self.run_with_mapping_par(mapper, dfg, acc, 1)
     }
 
+    /// [`search`](Self::search) without the rejection record.
+    pub fn run_with_mapping_par<'a, M>(
+        &self,
+        mapper: &M,
+        dfg: &'a Dfg,
+        acc: &'a Accelerator,
+        parallelism: usize,
+    ) -> (MappingOutcome, Option<Mapping<'a>>)
+    where
+        M: IiMapper + Sync,
+    {
+        let report = self.search(mapper, dfg, acc, parallelism);
+        (report.outcome, report.mapping)
+    }
+
     /// Speculative parallel II search. IIs are attempted in waves of
     /// `parallelism`; every wave is fully joined before judging, and the
     /// smallest successful II wins, so the outcome — including the
@@ -123,13 +179,17 @@ impl IiSearch {
     /// Attempts share `mapper` by reference, so this requires a mapper
     /// whose `map_at_ii` is a pure function of `(self, dfg, acc, ii)` —
     /// true for every mapper in this crate.
-    pub fn run_with_mapping_par<'a, M>(
+    ///
+    /// A returned mapping must pass the release-mode checks (complete,
+    /// at the attempted II, verified); one that fails is recorded in
+    /// [`SearchReport::rejected`] and its II counts as failed.
+    pub fn search<'a, M>(
         &self,
         mapper: &M,
         dfg: &'a Dfg,
         acc: &'a Accelerator,
         parallelism: usize,
-    ) -> (MappingOutcome, Option<Mapping<'a>>)
+    ) -> SearchReport<'a>
     where
         M: IiMapper + Sync,
     {
@@ -140,19 +200,24 @@ impl IiSearch {
         let mut attempts = 0;
         let mut ii = lo;
         let mut found = None;
+        let mut rejected = Vec::new();
         'waves: while ii <= hi {
             let wave_end = hi.min(ii + stride - 1);
             let targets: Vec<u32> = (ii..=wave_end).collect();
             let results = crate::portfolio::par_map(parallelism, targets, |_, target| {
                 mapper.map_at_ii(dfg, acc, target)
             });
-            for (offset, result) in results.into_iter().enumerate() {
+            for (target, result) in (ii..).zip(results) {
                 attempts += 1;
-                if let Some(m) = result {
-                    debug_assert!(m.is_complete());
-                    debug_assert_eq!(m.verify(), Ok(()));
-                    found = Some((ii + offset as u32, m));
-                    break 'waves;
+                let Some(m) = result else {
+                    continue;
+                };
+                match check(&m, target) {
+                    Ok(()) => {
+                        found = Some((target, m));
+                        break 'waves;
+                    }
+                    Err(reason) => rejected.push(Rejection { ii: target, reason }),
                 }
             }
             ii = wave_end + 1;
@@ -171,7 +236,11 @@ impl IiSearch {
             ops: dfg.op_count(),
             attempts,
         };
-        (outcome, found.map(|(_, m)| m))
+        SearchReport {
+            outcome,
+            mapping: found.map(|(_, m)| m),
+            rejected,
+        }
     }
 }
 
@@ -233,6 +302,61 @@ mod tests {
                 .ok()?;
             Some(m)
         }
+    }
+
+    /// Returns an incomplete mapping at II 2 (its one node unplaced), a
+    /// mapping at the wrong II at 4, and a valid one from `succeed_at`.
+    struct Broken {
+        succeed_at: u32,
+    }
+
+    impl IiMapper for Broken {
+        fn name(&self) -> &str {
+            "broken"
+        }
+
+        fn map_at_ii<'a>(
+            &self,
+            dfg: &'a Dfg,
+            acc: &'a Accelerator,
+            ii: u32,
+        ) -> Option<Mapping<'a>> {
+            match ii {
+                2 => Mapping::new(dfg, acc, ii).ok(),
+                4 => FailThenSucceed { succeed_at: 0 }.map_at_ii(dfg, acc, 5),
+                _ => FailThenSucceed {
+                    succeed_at: self.succeed_at,
+                }
+                .map_at_ii(dfg, acc, ii),
+            }
+        }
+    }
+
+    #[test]
+    fn unverified_mappings_are_rejected_as_failed_iis() {
+        let mut g = Dfg::new("one");
+        g.add_node(OpKind::Add, "a");
+        let acc = Accelerator::cgra("2x2", 2, 2);
+        for threads in [1, 2, 4] {
+            let report = IiSearch::default().search(&Broken { succeed_at: 3 }, &g, &acc, threads);
+            assert_eq!(report.outcome.ii, Some(3), "threads {threads}");
+            assert_eq!(report.outcome.attempts, 3);
+            assert_eq!(report.mapping.as_ref().map(Mapping::ii), Some(3));
+            assert_eq!(report.rejected.len(), 1);
+            assert_eq!(report.rejected[0].ii, 2);
+            assert!(report.rejected[0].reason.starts_with("incomplete"));
+
+            let report = IiSearch::default().search(&Broken { succeed_at: 6 }, &g, &acc, threads);
+            assert_eq!(report.outcome.ii, Some(6), "threads {threads}");
+            let iis: Vec<u32> = report.rejected.iter().map(|r| r.ii).collect();
+            assert_eq!(iis, [2, 4]);
+            assert_eq!(report.rejected[1].reason, "mapping is at II 5");
+        }
+        // The tuple API drops the record but not the check.
+        let (outcome, mapping) =
+            IiSearch::default().run_with_mapping_par(&Broken { succeed_at: 3 }, &g, &acc, 1);
+        assert_eq!(outcome.ii, Some(3));
+        assert!(mapping.is_some_and(|m| m.is_complete()));
     }
 
     #[test]

@@ -224,26 +224,29 @@ lisa_rng::props! {
         blocked_mask in 0u64..u64::MAX,
     ) {
         use lisa::arch::{Mrrg, Resource};
-        use lisa::mapper::router::{find_route, Probe, StepCost};
+        use lisa::mapper::router::{find_route, Occupancy};
 
         let acc = Accelerator::cgra("4x4", 4, 4);
         let mrrg = Mrrg::new(&acc, ii).expect("ii in range");
         let src_pe = PeId::new(src);
         let dst_pe = PeId::new(dst);
-        // Pseudorandomly block some FU cells (never the endpoints).
-        let cost = |p: Probe| -> Option<StepCost> {
-            let idx = p.cell as u64 % 64;
-            if blocked_mask & (1 << idx) != 0 && p.resource.is_fu() {
-                None
-            } else {
-                Some(StepCost::Fresh)
+        // Pseudorandomly block some FU cells.
+        let mut busy = Occupancy::new(&mrrg);
+        for t in 0..ii {
+            for pe in (0..16).map(PeId::new) {
+                let idx = mrrg.index_at(Resource::Fu(pe), t) as u64 % 64;
+                if blocked_mask & (1 << idx) != 0 {
+                    busy.occupy(&mrrg, Resource::Fu(pe), t);
+                }
             }
-        };
-        if let Some(steps) = find_route(&mrrg, lisa::dfg::NodeId::new(0), src_pe, 0, dst_pe, latency, cost) {
+        }
+        let route = |busy: &Occupancy| find_route(&mrrg, busy, [], (src_pe, 0), (dst_pe, latency));
+        if let Some(steps) = route(&busy) {
             assert_eq!(steps.len() as u32, latency - 1);
             let mut prev = Resource::Fu(src_pe);
             for (k, s) in steps.iter().enumerate() {
                 assert_eq!(s.time, k as u32 + 1);
+                assert!(!busy.is_busy(&mrrg, s.resource, s.time), "step {k} on a busy cell");
                 assert!(
                     mrrg.moves_from(prev).contains(&s.resource),
                     "illegal move at step {}", k
@@ -251,10 +254,11 @@ lisa_rng::props! {
                 prev = s.resource;
             }
             assert!(mrrg.can_consume(prev, dst_pe));
-        } else if latency > 8 {
-            // Unreachable: routes within the grid diameter always exist in
-            // the unblocked case, but blocked masks may legitimately cut
-            // all paths — nothing further to assert.
+        }
+        // With nothing blocked, slack beyond the hop distance always
+        // routes: the value walks a shortest path and waits in registers.
+        if latency > acc.hop_distance(src_pe, dst_pe) {
+            assert!(route(&Occupancy::new(&mrrg)).is_some(), "free fabric must route");
         }
     }
 
