@@ -6,7 +6,7 @@ use lisa_bench::timing::Suite;
 use lisa_dfg::polybench;
 use lisa_gnn::dataset::{ContextEdgeSample, EdgeSample, NodeGraphSample};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
-use lisa_gnn::{PlanScratch, TrainConfig};
+use lisa_gnn::{Graph, PlanScratch, TrainConfig};
 use lisa_labels::attributes::{DfgAttributes, EDGE_ATTR_DIM, NODE_ATTR_DIM};
 
 fn schedule_sample() -> NodeGraphSample {
@@ -63,8 +63,10 @@ fn main() {
     // Inference throughput (predictions/sec = 1e9 / median_ns). The
     // predict entries run the serving path — compiled plans on the
     // thread's warm scratch — so their history measures graph-tape →
-    // compiled-plan inference across PRs; the `_tape` twins keep the
-    // historical `Graph::inference` path measured in-binary.
+    // compiled-plan inference across PRs; the `_tape` twins run the same
+    // forward pass on one reused recording tape (`predict_with`, the
+    // training path and the compiled plans' bit-identity reference).
+    let mut tape = Graph::new();
     let net = ScheduleOrderNet::new(NODE_ATTR_DIM, 0);
     let net_plan = net.compile();
     let sample = schedule_sample();
@@ -72,7 +74,7 @@ fn main() {
         PlanScratch::with(|s| std::hint::black_box(net_plan.predict(s, &sample)));
     });
     suite.bench("schedule_order/predict_syr2k_tape", || {
-        std::hint::black_box(net.predict(&sample));
+        std::hint::black_box(net.predict_with(&mut tape, &sample));
     });
 
     let mlp = EdgeMlp::new(EDGE_ATTR_DIM, 0);
@@ -82,7 +84,7 @@ fn main() {
         PlanScratch::with(|s| std::hint::black_box(mlp_plan.predict(s, &attrs)));
     });
     suite.bench("edge_mlp/predict_tape", || {
-        std::hint::black_box(mlp.predict(&attrs));
+        std::hint::black_box(mlp.predict_with(&mut tape, &attrs));
     });
 
     let spatial = SpatialNet::new(EDGE_ATTR_DIM, 0);
@@ -92,7 +94,7 @@ fn main() {
         PlanScratch::with(|s| std::hint::black_box(spatial_plan.predict(s, ctx)));
     });
     suite.bench("spatial/predict_tape", || {
-        std::hint::black_box(spatial.predict(ctx));
+        std::hint::black_box(spatial.predict_with(&mut tape, ctx));
     });
 
     // Training-epoch throughput: one full epoch over a fixed set, fresh

@@ -1,7 +1,7 @@
 //! Benches for the three mappers — the kernel behind the compilation-time
 //! comparison of Fig. 11 — plus the annealer's inner-loop microbenches:
-//! movement throughput (snapshot-clone vs. undo-journal engines) and the
-//! deterministic lane race. Mapper runs take seconds, so they register as
+//! movement throughput of the undo-journal engine and the deterministic
+//! lane race. Mapper runs take seconds, so they register as
 //! heavy benches: fewer samples, skipped in `cargo test` smoke mode. The
 //! movement and lane-race entries are cheap and run (once) even in smoke
 //! mode, so `scripts/verify.sh` can check the suite's JSON end to end.
@@ -16,11 +16,11 @@ use lisa_events::{PipelineEvent, RecordingObserver};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
-use lisa_mapper::sa::{movement_throughput, MovementEngine};
+use lisa_mapper::sa::movement_throughput;
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
     anneal_chain, ConstructiveStrategy, GuidanceLabels, LabelSaMapper, SaMapper, SaParams,
-    SearchStrategy, StrategySpec,
+    StrategySpec,
 };
 
 /// The paper's Fig. 4 DFG (A..J, dense region around B) — the running
@@ -58,23 +58,15 @@ fn main() {
     let acc = Accelerator::cgra("4x4", 4, 4);
     let search = IiSearch { max_ii: Some(10) };
 
-    // Movement throughput: the annealer's hot loop on the Fig. 4 running
-    // example over a 3x3 CGRA at II 3. `snapshot_clone` prices each move
-    // against a full `Mapping` clone + cost rescan (the pre-journal code
-    // path); `journal` uses the transaction rollback + incremental cost.
-    // Identical seeds and identical trajectories, so ns/iter is a direct
-    // engine comparison.
+    // Movement throughput: the annealer's hot loop (transaction rollback
+    // + incremental cost) on the Fig. 4 running example over a 3x3 CGRA
+    // at II 3.
     let fig4 = fig4();
     let acc3 = Accelerator::cgra("3x3", 3, 3);
     const MOVES: u32 = 200;
-    for (tag, engine) in [
-        ("snapshot_clone", MovementEngine::SnapshotClone),
-        ("journal", MovementEngine::Journal),
-    ] {
-        suite.bench(&format!("movement/fig4_3x3/{tag}"), || {
-            std::hint::black_box(movement_throughput(&fig4, &acc3, 3, 42, MOVES, engine));
-        });
-    }
+    suite.bench("movement/fig4_3x3/journal", || {
+        std::hint::black_box(movement_throughput(&fig4, &acc3, 3, 42, MOVES));
+    });
 
     // Big-fabric scaling: beyond 128 PEs the accelerator swaps its dense
     // all-pairs hop table for the landmark distance oracle. These entries
@@ -103,14 +95,7 @@ fn main() {
             "bytes",
         );
         suite.bench(&format!("movement/fig4_{key}/journal"), || {
-            std::hint::black_box(movement_throughput(
-                &fig4,
-                &big,
-                3,
-                42,
-                MOVES,
-                MovementEngine::Journal,
-            ));
+            std::hint::black_box(movement_throughput(&fig4, &big, 3, 42, MOVES));
         });
         suite.bench(&format!("e2e/doitgen_{key}/greedy"), || {
             let outcome = IiSearch { max_ii: Some(8) }.run(&ConstructiveStrategy, &doitgen, &big);
@@ -240,18 +225,31 @@ fn main() {
     // Router-work comparison at a common II: the constructive lane and a
     // single annealing chain (at the production `paper` schedule) both
     // map doitgen at II 3 on the 4x4; the lane does it in about one
-    // router call per edge.
-    let lane = ConstructiveStrategy::new();
-    let (built, cstats) = lane.run(&doitgen, &acc, 3, 0, 0, &EventSink::null(), None);
+    // router call per edge. The lane's counters come from the
+    // `SaFilterSummary` event it emits in the race.
+    let lane = SaMapper::new(SaParams::paper(), 0)
+        .with_strategy(StrategySpec::parse("constructive").expect("a lane name"))
+        .with_observer(sink.clone());
+    let built = lane.map_at_ii(&doitgen, &acc, 3);
     assert!(
         built.is_some(),
         "constructive lane completes doitgen at II 3"
     );
+    let constructive_router_invocations = recorder
+        .take()
+        .into_iter()
+        .find_map(|event| match event {
+            PipelineEvent::SaFilterSummary {
+                router_invocations, ..
+            } => Some(router_invocations),
+            _ => None,
+        })
+        .expect("the constructive lane reports its router work");
     let (annealed, sastats) = anneal_chain(&SaParams::paper(), &doitgen, &acc, 3, 7, None);
     assert!(annealed.is_some(), "SA chain completes doitgen at II 3");
     suite.metric(
         "strategy/doitgen_4x4/constructive_router_invocations",
-        cstats.router_invocations as f64,
+        constructive_router_invocations as f64,
         "calls",
     );
     suite.metric(

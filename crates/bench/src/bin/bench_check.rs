@@ -14,7 +14,6 @@ use lisa_bench::timing::bench_dir;
 /// Mapping-suite entries every run — smoke or measure — must produce
 /// (cheap tier).
 const REQUIRED_MAPPING: &[&str] = &[
-    "movement/fig4_3x3/snapshot_clone",
     "movement/fig4_3x3/journal",
     "portfolio/fig4_3x3/chains1",
     "portfolio/fig4_3x3/chains4",

@@ -148,12 +148,12 @@ fn main() {
                 sa = sa.with_movement_filter(f);
             }
             let start = Instant::now();
-            let (outcome, mapping) = search.run_with_mapping(&sa, dfg, &acc);
+            let report = search.search(&sa, dfg, &acc, 1);
             let elapsed = start.elapsed();
-            if let Some(m) = &mapping {
+            if let Some(m) = &report.mapping {
                 m.verify().expect("mapping invariants hold");
             }
-            (outcome, totals.take(), elapsed)
+            (report.outcome, totals.take(), elapsed)
         };
         let mut off = FilterStats::default();
         let mut on = FilterStats::default();

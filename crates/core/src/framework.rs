@@ -161,8 +161,8 @@ impl Lisa {
     /// Derives the four guidance labels for a new DFG with the trained
     /// GNNs (Fig. 2 right: milliseconds instead of the iterative method's
     /// minutes). Runs on the frozen [`CompiledModel`] — no tape, no
-    /// graph dispatch — with output bit-identical to the historical
-    /// `Graph::inference` path.
+    /// graph dispatch — with output bit-identical to the networks'
+    /// recording-tape forward pass.
     ///
     /// Predictions are post-processed for mapper consumption: spatial
     /// distances are clamped to ≥ 0 and temporal distances to ≥ 1
@@ -187,7 +187,8 @@ impl Lisa {
     ) -> (MappingOutcome, Option<Mapping<'a>>) {
         let labels = self.predict_labels(dfg);
         let mapper = self.build_mapper(labels, self.config.seed, &self.config.strategy);
-        IiSearch::default().run_with_mapping_par(&mapper, dfg, acc, self.config.parallelism)
+        let report = IiSearch::default().search(&mapper, dfg, acc, self.config.parallelism);
+        (report.outcome, report.mapping)
     }
 
     /// Streams inference-time annealing events (movement samples, filter
@@ -315,10 +316,11 @@ impl Lisa {
     ) -> (MappingOutcome, Option<Mapping<'a>>) {
         let labels = self.predict_labels(dfg);
         let mapper = self.build_mapper(labels, seed, strategy);
-        IiSearch {
+        let report = IiSearch {
             max_ii: Some(max_ii),
         }
-        .run_with_mapping_par(&mapper, dfg, acc, parallelism)
+        .search(&mapper, dfg, acc, parallelism);
+        (report.outcome, report.mapping)
     }
 }
 

@@ -10,7 +10,10 @@
 //!   min/max/mean neighbour pooling, concatenation),
 //! * [`ParamStore`]/[`Adam`] — parameter storage and the paper's optimiser
 //!   (lr 0.001, weight decay 0.0005),
-//! * [`models`] — the four label networks of §IV-B,
+//! * [`models`] — the four label networks of §IV-B, trained on the tape
+//!   and frozen by `compile()` into tape-free inference plans
+//!   ([`CompiledEdgeMlp`], [`CompiledSpatial`], [`CompiledScheduleOrder`])
+//!   that run on a reusable [`PlanScratch`] arena,
 //! * [`metrics`] — the paper's accuracy definitions (§VI-B),
 //! * [`dataset`] — architecture-agnostic training-sample containers.
 //!
@@ -19,7 +22,7 @@
 //! ```
 //! use lisa_gnn::models::EdgeMlp;
 //! use lisa_gnn::dataset::EdgeSample;
-//! use lisa_gnn::{metrics, TrainConfig};
+//! use lisa_gnn::{metrics, PlanScratch, TrainConfig};
 //!
 //! let samples: Vec<EdgeSample> = (0..24)
 //!     .map(|i| EdgeSample {
@@ -29,7 +32,13 @@
 //!     .collect();
 //! let mut net = EdgeMlp::new(2, 1);
 //! net.train(&samples, &TrainConfig { epochs: 150, ..TrainConfig::paper() });
-//! let preds: Vec<f64> = samples.iter().map(|s| net.predict(&s.attrs)).collect();
+//! // Serve predictions from the frozen plan on one reused scratch arena.
+//! let plan = net.compile();
+//! let mut scratch = PlanScratch::new();
+//! let preds: Vec<f64> = samples
+//!     .iter()
+//!     .map(|s| plan.predict(&mut scratch, &s.attrs))
+//!     .collect();
 //! let truths: Vec<f64> = samples.iter().map(|s| s.target).collect();
 //! let acc = metrics::accuracy(metrics::LabelKind::Temporal, &preds, &truths);
 //! assert!(acc > 0.5);

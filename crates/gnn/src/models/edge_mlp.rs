@@ -26,7 +26,7 @@ const MICRO_BATCH: usize = 8;
 /// ```
 /// use lisa_gnn::models::EdgeMlp;
 /// use lisa_gnn::dataset::EdgeSample;
-/// use lisa_gnn::TrainConfig;
+/// use lisa_gnn::{PlanScratch, TrainConfig};
 ///
 /// // Learn target = attrs[0] + attrs[1].
 /// let samples: Vec<EdgeSample> = (0..32)
@@ -40,7 +40,7 @@ const MICRO_BATCH: usize = 8;
 /// let config = TrainConfig { epochs: 400, lr: 5e-3, weight_decay: 0.0, ..TrainConfig::paper() };
 /// let report = net.train(&samples, &config);
 /// assert!(report.improved());
-/// let pred = net.predict(&[2.0, 1.0]);
+/// let pred = net.compile().predict(&mut PlanScratch::new(), &[2.0, 1.0]);
 /// assert!((pred - 3.0).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -142,17 +142,15 @@ impl EdgeMlp {
         g.matmul(r, h)
     }
 
-    /// Predicts the label value for one attribute vector.
+    /// Predicts the label value for one attribute vector on the
+    /// recording tape `g` (reset here), so repeated predictions share
+    /// one tape arena. It runs the forward pass training differentiates
+    /// and is the bit-identity reference for [`Self::compile`]; serving
+    /// paths run the compiled plan.
     ///
     /// # Panics
     ///
     /// Panics if the attribute dimension differs from construction.
-    pub fn predict(&self, attrs: &[f64]) -> f64 {
-        Graph::with_inference_tape(|g| self.predict_with(g, attrs))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
     pub fn predict_with(&self, g: &mut Graph, attrs: &[f64]) -> f64 {
         g.reset();
         let x = self.attrs_matrix(std::iter::once(attrs));
@@ -162,7 +160,7 @@ impl EdgeMlp {
 
     /// Freezes the current weights into a tape-free inference plan (see
     /// [`crate::CompiledEdgeMlp`]); predictions are bit-identical to
-    /// [`Self::predict`]. Later training of `self` does not affect the
+    /// [`Self::predict_with`]. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledEdgeMlp {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -244,7 +242,7 @@ mod tests {
         let report = net.train(&data, &cfg);
         assert!(report.final_loss() < 0.1, "loss {}", report.final_loss());
         for s in &data[..10] {
-            assert!((net.predict(&s.attrs) - s.target).abs() < 1.0);
+            assert!((net.predict_with(&mut Graph::new(), &s.attrs) - s.target).abs() < 1.0);
         }
     }
 
@@ -256,7 +254,10 @@ mod tests {
         let mut b = EdgeMlp::new(3, 9);
         a.train(&data, &cfg);
         b.train(&data, &cfg);
-        assert_eq!(a.predict(&[1.0, 2.0, 3.0]), b.predict(&[1.0, 2.0, 3.0]));
+        assert_eq!(
+            a.predict_with(&mut Graph::new(), &[1.0, 2.0, 3.0]),
+            b.predict_with(&mut Graph::new(), &[1.0, 2.0, 3.0])
+        );
     }
 
     #[test]
@@ -270,6 +271,6 @@ mod tests {
     #[should_panic(expected = "attribute dimension mismatch")]
     fn wrong_dim_panics() {
         let net = EdgeMlp::new(3, 0);
-        let _ = net.predict(&[1.0]);
+        let _ = net.predict_with(&mut Graph::new(), &[1.0]);
     }
 }

@@ -35,14 +35,15 @@ struct Layer {
 /// ```
 /// use lisa_gnn::models::ScheduleOrderNet;
 /// use lisa_gnn::dataset::NodeGraphSample;
+/// use lisa_gnn::PlanScratch;
 ///
-/// let net = ScheduleOrderNet::new(3, 0);
+/// let plan = ScheduleOrderNet::new(3, 0).compile();
 /// let sample = NodeGraphSample {
 ///     node_attrs: vec![vec![0.0, 1.0, 2.0], vec![1.0, 0.0, 1.0]],
 ///     neighbors: vec![vec![1], vec![0]],
 ///     targets: vec![0.0, 1.0],
 /// };
-/// let preds = net.predict(&sample);
+/// let preds = plan.predict(&mut PlanScratch::new(), &sample);
 /// assert_eq!(preds.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -164,17 +165,15 @@ impl ScheduleOrderNet {
         g.matmul(r, h)
     }
 
-    /// Predicts the schedule order of every node.
+    /// Predicts the schedule order of every node on the
+    /// recording tape `g` (reset here), so repeated predictions share
+    /// one tape arena. It runs the forward pass training differentiates
+    /// and is the bit-identity reference for [`Self::compile`]; serving
+    /// paths run the compiled plan.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent samples or mismatched attribute dimension.
-    pub fn predict(&self, sample: &NodeGraphSample) -> Vec<f64> {
-        Graph::with_inference_tape(|g| self.predict_with(g, sample))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
     pub fn predict_with(&self, g: &mut Graph, sample: &NodeGraphSample) -> Vec<f64> {
         g.reset();
         let adj = CsrAdjacency::from_neighbors(&sample.neighbors);
@@ -185,7 +184,7 @@ impl ScheduleOrderNet {
 
     /// Freezes the current weights into a tape-free inference plan (see
     /// [`crate::CompiledScheduleOrder`]); predictions are bit-identical
-    /// to [`Self::predict`]. Later training of `self` does not affect
+    /// to [`Self::predict_with`]. Later training of `self` does not affect
     /// the returned plan.
     pub fn compile(&self) -> crate::CompiledScheduleOrder {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -289,7 +288,7 @@ mod tests {
     fn output_shape_matches_nodes() {
         let net = ScheduleOrderNet::new(3, 0);
         let s = &chain_samples(1)[0];
-        assert_eq!(net.predict(s).len(), s.len());
+        assert_eq!(net.predict_with(&mut Graph::new(), s).len(), s.len());
     }
 
     #[test]
@@ -323,7 +322,7 @@ mod tests {
             ..TrainConfig::paper()
         };
         net.train(&samples, &cfg);
-        let preds = net.predict(&samples[0]);
+        let preds = net.predict_with(&mut Graph::new(), &samples[0]);
         for (i, p) in preds.iter().enumerate() {
             assert!(
                 (p - i as f64).abs() < 1.2,
@@ -340,15 +339,15 @@ mod tests {
             neighbors: vec![vec![]],
             targets: vec![0.0],
         };
-        let preds = net.predict(&s);
+        let preds = net.predict_with(&mut Graph::new(), &s);
         assert!(preds[0].is_finite());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let s = &chain_samples(1)[0];
-        let a = ScheduleOrderNet::new(3, 11).predict(s);
-        let b = ScheduleOrderNet::new(3, 11).predict(s);
+        let a = ScheduleOrderNet::new(3, 11).predict_with(&mut Graph::new(), s);
+        let b = ScheduleOrderNet::new(3, 11).predict_with(&mut Graph::new(), s);
         assert_eq!(a, b);
     }
 }

@@ -31,14 +31,16 @@ const MICRO_BATCH: usize = 8;
 /// ```
 /// use lisa_gnn::models::SpatialNet;
 /// use lisa_gnn::dataset::ContextEdgeSample;
+/// use lisa_gnn::PlanScratch;
 ///
-/// let net = SpatialNet::new(2, 0);
+/// let plan = SpatialNet::new(2, 0).compile();
 /// let sample = ContextEdgeSample {
 ///     attrs: vec![1.0, 2.0],
 ///     neighbor_attrs: vec![vec![1.0, 2.0], vec![0.5, 0.0]],
 ///     target: 1.0,
 /// };
-/// assert!(net.predict(&sample).is_finite());
+/// let mut scratch = PlanScratch::new();
+/// assert!(plan.predict(&mut scratch, &sample).is_finite());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialNet {
@@ -166,17 +168,15 @@ impl SpatialNet {
         g.matmul(r, h2)
     }
 
-    /// Predicts the spatial mapping distance of one edge.
+    /// Predicts the spatial mapping distance of one edge on the
+    /// recording tape `g` (reset here), so repeated predictions share
+    /// one tape arena. It runs the forward pass training differentiates
+    /// and is the bit-identity reference for [`Self::compile`]; serving
+    /// paths run the compiled plan.
     ///
     /// # Panics
     ///
     /// Panics on mismatched attribute dimensions.
-    pub fn predict(&self, sample: &ContextEdgeSample) -> f64 {
-        Graph::with_inference_tape(|g| self.predict_with(g, sample))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
     pub fn predict_with(&self, g: &mut Graph, sample: &ContextEdgeSample) -> f64 {
         g.reset();
         let y = self.forward(g, &self.store, &[sample]);
@@ -185,7 +185,7 @@ impl SpatialNet {
 
     /// Freezes the current weights into a tape-free inference plan (see
     /// [`crate::CompiledSpatial`]); predictions are bit-identical to
-    /// [`Self::predict`]. Later training of `self` does not affect the
+    /// [`Self::predict_with`]. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledSpatial {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -289,14 +289,14 @@ mod tests {
             neighbor_attrs: vec![],
             target: 0.0,
         };
-        assert!(net.predict(&s).is_finite());
+        assert!(net.predict_with(&mut Graph::new(), &s).is_finite());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let s = &synth_samples(1)[0];
-        let a = SpatialNet::new(2, 4).predict(s);
-        let b = SpatialNet::new(2, 4).predict(s);
+        let a = SpatialNet::new(2, 4).predict_with(&mut Graph::new(), s);
+        let b = SpatialNet::new(2, 4).predict_with(&mut Graph::new(), s);
         assert_eq!(a, b);
     }
 
@@ -309,6 +309,6 @@ mod tests {
             neighbor_attrs: vec![],
             target: 0.0,
         };
-        let _ = net.predict(&s);
+        let _ = net.predict_with(&mut Graph::new(), &s);
     }
 }

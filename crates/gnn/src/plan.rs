@@ -431,10 +431,9 @@ impl PlanScratch {
         PlanScratch::default()
     }
 
-    /// Runs `f` with this thread's shared scratch (the compiled-plan
-    /// analogue of [`crate::Graph::with_inference_tape`]): repeated
-    /// calls on one thread reuse one warm arena. Falls back to a fresh
-    /// scratch on re-entrant use.
+    /// Runs `f` with this thread's shared scratch: repeated calls on one
+    /// thread reuse one warm arena. Falls back to a fresh scratch on
+    /// re-entrant use.
     pub fn with<R>(f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<PlanScratch> = RefCell::new(PlanScratch::new());
@@ -465,7 +464,7 @@ impl CompiledEdgeMlp {
     }
 
     /// Predicts the label value for one attribute vector; bit-identical
-    /// to the source model's `predict`.
+    /// to the source model's `predict_with`.
     ///
     /// # Panics
     ///
@@ -507,7 +506,7 @@ impl CompiledSpatial {
     }
 
     /// Predicts the spatial mapping distance of one edge; bit-identical
-    /// to the source model's `predict`.
+    /// to the source model's `predict_with`.
     ///
     /// # Panics
     ///
@@ -592,7 +591,7 @@ impl CompiledScheduleOrder {
     }
 
     /// Predicts the schedule order of every node; bit-identical to the
-    /// source model's `predict`.
+    /// source model's `predict_with`.
     ///
     /// # Panics
     ///
@@ -643,6 +642,7 @@ impl CompiledScheduleOrder {
 mod tests {
     use super::*;
     use crate::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
+    use crate::Graph;
 
     fn attrs(seed: u64, dim: usize) -> Vec<f64> {
         (0..dim)
@@ -657,7 +657,7 @@ mod tests {
         let mut scratch = PlanScratch::new();
         for s in 0..8 {
             let a = attrs(s, 5);
-            let tape = net.predict(&a);
+            let tape = net.predict_with(&mut Graph::new(), &a);
             let compiled = plan.predict(&mut scratch, &a);
             assert_eq!(tape.to_bits(), compiled.to_bits(), "sample {s}");
         }
@@ -676,7 +676,7 @@ mod tests {
                     .collect(),
                 target: 0.0,
             };
-            let tape = net.predict(&sample);
+            let tape = net.predict_with(&mut Graph::new(), &sample);
             let compiled = plan.predict(&mut scratch, &sample);
             assert_eq!(tape.to_bits(), compiled.to_bits(), "sample {s}");
         }
@@ -694,7 +694,10 @@ mod tests {
             target: 0.0,
         };
         let compiled = PlanScratch::with(|s| plan.predict(s, &sample));
-        assert_eq!(net.predict(&sample).to_bits(), compiled.to_bits());
+        assert_eq!(
+            net.predict_with(&mut Graph::new(), &sample).to_bits(),
+            compiled.to_bits()
+        );
     }
 
     #[test]
@@ -707,7 +710,10 @@ mod tests {
             target: 0.0,
         };
         let compiled = PlanScratch::with(|s| plan.predict(s, &sample));
-        assert_eq!(net.predict(&sample).to_bits(), compiled.to_bits());
+        assert_eq!(
+            net.predict_with(&mut Graph::new(), &sample).to_bits(),
+            compiled.to_bits()
+        );
     }
 
     #[test]
@@ -721,7 +727,7 @@ mod tests {
             neighbors: vec![vec![1, 2], vec![3], vec![3], vec![0], vec![]],
             targets: vec![0.0; 5],
         };
-        let tape = net.predict(&sample);
+        let tape = net.predict_with(&mut Graph::new(), &sample);
         let compiled = plan.predict(&mut scratch, &sample);
         assert_eq!(tape.len(), compiled.len());
         for (i, (t, c)) in tape.iter().zip(&compiled).enumerate() {
@@ -749,7 +755,9 @@ mod tests {
         assert_eq!(large_first.to_bits(), large_again.to_bits());
         assert_eq!(
             small.to_bits(),
-            EdgeMlp::new(2, 1).predict(&attrs(2, 2)).to_bits()
+            EdgeMlp::new(2, 1)
+                .predict_with(&mut Graph::new(), &attrs(2, 2))
+                .to_bits()
         );
     }
 

@@ -6,11 +6,11 @@
 //! order, followed by one routing pass, already lands a valid mapping.
 //! [`ConstructiveStrategy`] implements that pass in two roles:
 //!
-//! * as a **lane** ([`SearchStrategy`]) it is the cheapest by orders of
-//!   magnitude — it invokes the router about once per edge, where one
-//!   annealing chain invokes it thousands of times — so the lane race
-//!   runs it before any stochastic lane, and a complete constructive
-//!   mapping wins outright;
+//! * as a **lane** (`constructive` in a [`crate::StrategySpec`]) it is
+//!   the cheapest by orders of magnitude — it invokes the router about
+//!   once per edge, where one annealing chain invokes it thousands of
+//!   times — so the lane race runs it before any stochastic lane, and a
+//!   complete constructive mapping wins outright;
 //! * as a **mapper** ([`IiMapper`]) under [`crate::IiSearch`] it is the
 //!   deterministic list-scheduling baseline of the paper's taxonomy
 //!   (§I: hybrid heuristics that schedule greedily with architectural
@@ -18,7 +18,7 @@
 //!
 //! When the one-pass mapping is *incomplete*, the partial result is not
 //! wasted: [`crate::evolutionary::EvolutionaryStrategy`] seeds its first
-//! individual from [`construct`], giving the population an incumbent
+//! individual from the same pass, giving the population an incumbent
 //! bound that a random initial placement rarely matches.
 //!
 //! The pass is fully deterministic — no RNG is drawn anywhere — so one
@@ -28,12 +28,10 @@ use std::cmp::Reverse;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{Dfg, NodeId};
-use lisa_events::EventSink;
 
-use crate::predictor::{FilterStats, MovementScorer};
+use crate::predictor::FilterStats;
 use crate::sa::candidate_slots;
 use crate::schedule::IiMapper;
-use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
 /// Bounded repair sweeps after the first full pass. Each sweep rips up
@@ -176,33 +174,6 @@ impl ConstructiveStrategy {
     }
 }
 
-impl SearchStrategy for ConstructiveStrategy {
-    fn name(&self) -> &'static str {
-        "constructive"
-    }
-
-    fn is_constructive(&self) -> bool {
-        true
-    }
-
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        _seed: u64,
-        sink: &EventSink,
-        _filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let Some((mapping, stats)) = construct(dfg, acc, ii) else {
-            return (None, FilterStats::default());
-        };
-        stats.emit_summary(sink, lane, ii);
-        (mapping.is_complete().then_some(mapping), stats)
-    }
-}
-
 impl IiMapper for ConstructiveStrategy {
     fn name(&self) -> &str {
         "Constructive"
@@ -258,20 +229,20 @@ mod tests {
 
     #[test]
     fn strategy_returns_only_complete_mappings() {
+        use crate::{SaMapper, SaParams, StrategySpec};
         let acc = Accelerator::cgra("4x4", 4, 4);
         let dfg = polybench::kernel("gemm").unwrap();
-        let lane = ConstructiveStrategy::new();
-        let sink = EventSink::null();
-        let (mapping, stats) = lane.run(&dfg, &acc, 8, 0, 0, &sink, None);
-        if let Some(m) = mapping {
+        let lane = SaMapper::new(SaParams::fast(), 0)
+            .with_strategy(StrategySpec::parse("constructive").unwrap());
+        if let Some(m) = lane.map_at_ii(&dfg, &acc, 8) {
             assert!(m.is_complete());
             m.verify().unwrap();
         }
+        let (_, stats) = construct(&dfg, &acc, 8).unwrap();
         assert!(stats.proposals >= 1);
         // An impossible fabric/II yields None, not a panic.
         let tiny = Accelerator::cgra("1x1", 1, 1);
-        let (none, _) = lane.run(&dfg, &tiny, 1, 0, 0, &sink, None);
-        assert!(none.is_none());
+        assert!(lane.map_at_ii(&dfg, &tiny, 1).is_none());
     }
 
     #[test]
@@ -310,10 +281,10 @@ mod tests {
         let search = IiSearch { max_ii: Some(16) };
         for (name, ii) in II_4X4 {
             let dfg = polybench::kernel(name).unwrap();
-            let (outcome, mapping) = search.run_with_mapping(&ConstructiveStrategy, &dfg, &acc);
-            assert_eq!(outcome.ii, Some(ii), "{name}");
-            assert_eq!(outcome.mapper, "Constructive");
-            mapping.unwrap().verify().unwrap();
+            let report = search.search(&ConstructiveStrategy, &dfg, &acc, 1);
+            assert_eq!(report.outcome.ii, Some(ii), "{name}");
+            assert_eq!(report.outcome.mapper, "Constructive");
+            report.mapping.unwrap().verify().unwrap();
         }
     }
 

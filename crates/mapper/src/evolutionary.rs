@@ -11,7 +11,7 @@
 //!   RNG-chosen time window into a clone of elite parent A — under one
 //!   transaction of the journal, so a worsening transplant rolls back to
 //!   the parent in O(changes) instead of re-cloning.
-//! * **Mutation** is the annealer's own [`movement`] generator at the
+//! * **Mutation** is the annealer's own movement generator at the
 //!   coldest temperature (greedy accept), sharing its movement filter
 //!   gating and router-work accounting.
 //! * **Seeding** borrows the constructive lane's one-pass mapping as
@@ -37,7 +37,6 @@ use crate::sa::{
     mapping_cost, movement, place_nodes, route_all, MoveBuffers, MoveStats, MovementVerdict,
     SaParams, VanillaPolicy,
 };
-use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
 /// Population shape of the evolutionary lane.
@@ -48,7 +47,7 @@ struct EvoParams {
     /// Survivors copied unchanged into the next generation (the best
     /// `elite` by `(cost, index)`).
     elite: usize,
-    /// [`movement`] mutations applied to each child per generation.
+    /// Annealer movements applied to each child per generation.
     mutations_per_child: u32,
     /// Generation budget.
     generations: u32,
@@ -93,6 +92,27 @@ impl EvolutionaryStrategy {
     pub fn new(sa: SaParams) -> Self {
         let evo = EvoParams::from_sa(&sa);
         EvolutionaryStrategy { sa, evo }
+    }
+
+    /// Runs the lane once. `lane` is the lane index (it tags the emitted
+    /// [`lisa_events::PipelineEvent::SaFilterSummary`]); `seed` is the
+    /// lane-derived RNG seed. Returns a complete mapping or `None`, plus
+    /// the lane's router-work counters.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<'a>(
+        &self,
+        dfg: &'a Dfg,
+        acc: &'a Accelerator,
+        ii: u32,
+        lane: usize,
+        seed: u64,
+        sink: &EventSink,
+        filter: Option<&dyn MovementScorer>,
+    ) -> (Option<Mapping<'a>>, FilterStats) {
+        let mut fstats = FilterStats::default();
+        let result = self.run_inner(dfg, acc, ii, seed, filter, &mut fstats);
+        fstats.emit_summary(sink, lane, ii);
+        (result, fstats)
     }
 
     /// The best complete individual by `(cost, index)`, if any.
@@ -253,28 +273,6 @@ impl EvolutionaryStrategy {
             }
         }
         None
-    }
-}
-
-impl SearchStrategy for EvolutionaryStrategy {
-    fn name(&self) -> &'static str {
-        "evolutionary"
-    }
-
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let mut fstats = FilterStats::default();
-        let result = self.run_inner(dfg, acc, ii, seed, filter, &mut fstats);
-        fstats.emit_summary(sink, lane, ii);
-        (result, fstats)
     }
 }
 

@@ -13,8 +13,9 @@
 //! * [`constructive`] — a LOCAL-style one-pass list scheduler: the cheap
 //!   lane of every race and, under [`IiSearch`], the deterministic
 //!   list-scheduling baseline (`lisa-map --mapper greedy`);
-//! * [`strategy`] — the [`SearchStrategy`] lane contract and the lane
-//!   race ([`StrategySpec`] is the lane list);
+//! * [`strategy`] — the lane race: [`StrategySpec`] is the lane list,
+//!   [`LaneKind`] the closed set of lanes (`sa`, `evolutionary`,
+//!   `constructive`), raced per II under one deterministic winner rule;
 //! * [`evolutionary`] — a deterministic population mapper with
 //!   journal-transaction crossover;
 //! * [`portfolio`] — lane seeding and the result-invariant work
@@ -26,8 +27,9 @@
 //!   the minimum II, increment on failure, paper §VI).
 //!
 //! All mappers operate on a shared [`Mapping`] state (placement + routing
-//! over the modulo routing resource graph) and a common Dijkstra
-//! [`router`].
+//! over the modulo routing resource graph) and a common exact [`router`]:
+//! a bit-parallel layered search over per-slot occupancy bitsets that
+//! returns the route heap Dijkstra would.
 //!
 //! # Example
 //!
@@ -69,4 +71,4 @@ pub use predictor::{FilterStats, MovementScorer, MOVEMENT_FEATURE_DIM};
 pub use router::RouterScratch;
 pub use sa::{anneal_chain, SaMapper, SaParams};
 pub use schedule::{IiMapper, IiSearch, MappingOutcome, Rejection, SearchReport};
-pub use strategy::{LaneKind, ParseStrategyError, SearchStrategy, StrategySpec};
+pub use strategy::{LaneKind, ParseStrategyError, StrategySpec};

@@ -4,7 +4,7 @@
 //! [`par_map`] runs independent jobs on scoped threads and returns their
 //! results in item order, so the output never depends on thread count or
 //! scheduling. It backs the speculative II waves of
-//! [`crate::schedule::IiSearch::run_with_mapping_par`] and the
+//! [`crate::schedule::IiSearch::search`] and the
 //! training-data generator's fan-out across DFGs. `chain_seed` derives
 //! each lane's RNG seed from the lane *index*, which is what makes a
 //! lane race a pure function of the request.
@@ -212,9 +212,8 @@ mod tests {
         let runs: Vec<(Option<u32>, Option<String>)> = [1, 2, 4]
             .into_iter()
             .map(|threads| {
-                let (outcome, m) =
-                    IiSearch::default().run_with_mapping_par(&mapper, &dfg, &acc, threads);
-                (outcome.ii, m.map(|m| format!("{m:?}")))
+                let report = IiSearch::default().search(&mapper, &dfg, &acc, threads);
+                (report.outcome.ii, report.mapping.map(|m| format!("{m:?}")))
             })
             .collect();
         assert_eq!(runs[0], runs[1]);

@@ -157,23 +157,6 @@ pub(crate) fn mapping_cost(m: &Mapping<'_>) -> f64 {
         + 0.01 * m.lateness() as f64
 }
 
-/// The pre-journal cost function: identical value to [`mapping_cost`] but
-/// recomputed by scanning placements, routes, and the occupancy grid —
-/// exactly what every movement paid before the incremental counters. Kept
-/// for the movement-throughput bench's before/after comparison.
-pub fn mapping_cost_scan(m: &Mapping<'_>) -> f64 {
-    let lateness: u64 = m
-        .dfg()
-        .node_ids()
-        .filter_map(|n| m.placement(n))
-        .map(|p| u64::from(p.time))
-        .sum();
-    1000.0 * m.unplaced_nodes().len() as f64
-        + 100.0 * m.unrouted_edges().len() as f64
-        + m.routing_cells_scan() as f64
-        + 0.01 * lateness as f64
-}
-
 /// All feasible `(pe, time)` slots for `node`, bounded by its placed data
 /// neighbours: after every placed predecessor, before every placed
 /// successor. If the bounds conflict, the lower bound wins and the
@@ -603,62 +586,11 @@ pub(crate) fn route_all<P: SaPolicy>(
     invocations
 }
 
-/// The pre-PR vanilla policy: same ordering as [`VanillaPolicy`], but
-/// recomputes the ASAP analysis on every `order_nodes` call — exactly what
-/// the annealer paid per movement before `Mapping` cached the analysis.
-/// Only the movement-throughput bench uses it (identical sort keys, so
-/// trajectories stay byte-identical to [`VanillaPolicy`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct UncachedVanillaPolicy;
-
-impl SaPolicy for UncachedVanillaPolicy {
-    fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]) {
-        let asap = lisa_dfg::analysis::asap(mapping.dfg());
-        nodes.sort_by_key(|n| (asap[n.index()], n.index()));
-    }
-
-    fn choose_candidate(
-        &self,
-        mapping: &Mapping<'_>,
-        node: NodeId,
-        candidates: &[(PeId, u32)],
-        stats: MoveStats,
-        rng: &mut Rng,
-    ) -> usize {
-        VanillaPolicy.choose_candidate(mapping, node, candidates, stats, rng)
-    }
-
-    fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
-        VanillaPolicy.order_edges(mapping, edges);
-    }
-}
-
-/// Rejected-movement restoration strategy driven by
-/// [`movement_throughput`]: the historical per-movement deep clone, or the
-/// transaction journal the annealer uses today.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MovementEngine {
-    /// Pre-journal engine: deep-clone the mapping before each movement,
-    /// price the cost function by rescanning, restore the clone on reject.
-    SnapshotClone,
-    /// Journal engine: record deltas in a transaction, read the running
-    /// cost counters, roll back on reject.
-    Journal,
-}
-
-/// Runs `moves` SA movements at a fixed temperature and returns the number
-/// of strict improvements accepted. Both engines consume the RNG
-/// identically and price movements to the same values, so for a given seed
-/// they follow byte-identical trajectories — the bench compares pure
-/// engine overhead, and a unit test pins the equivalence.
-pub fn movement_throughput(
-    dfg: &Dfg,
-    acc: &Accelerator,
-    ii: u32,
-    seed: u64,
-    moves: u32,
-    engine: MovementEngine,
-) -> u32 {
+/// Runs `moves` SA movements of the vanilla policy at a fixed
+/// temperature through the journal engine the annealer uses (transaction
+/// rollback plus the incremental cost), and returns the number of strict
+/// improvements accepted. The movement-throughput bench times this loop.
+pub fn movement_throughput(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64, moves: u32) -> u32 {
     let params = SaParams::paper();
     let policy = VanillaPolicy;
     let mut rng = Rng::seed_from_u64(seed);
@@ -671,72 +603,34 @@ pub fn movement_throughput(
     route_all(&policy, &mut mapping, &mut bufs);
     let temp = params.initial_temp;
     let mut improved = 0;
-    match engine {
-        MovementEngine::SnapshotClone => {
-            // Pre-PR per-movement bill: deep clone, ASAP recompute in the
-            // ordering policy, full cost rescan.
-            let policy = UncachedVanillaPolicy;
-            let mut cost = mapping_cost_scan(&mapping);
-            for _ in 0..moves {
-                stats.attempted += 1;
-                let snapshot = mapping.clone();
-                movement(
-                    &policy,
-                    &mut mapping,
-                    &params,
-                    &mut bufs,
-                    stats,
-                    &mut rng,
-                    temp,
-                    None,
-                    &mut fstats,
-                    false,
-                );
-                let new_cost = mapping_cost_scan(&mapping);
-                let accept = new_cost <= cost
-                    || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
-                if accept {
-                    if new_cost < cost {
-                        stats.accepted += 1;
-                        improved += 1;
-                    }
-                    cost = new_cost;
-                } else {
-                    mapping = snapshot;
-                }
+    let mut cost = mapping_cost(&mapping);
+    for _ in 0..moves {
+        stats.attempted += 1;
+        mapping.begin_txn();
+        movement(
+            &policy,
+            &mut mapping,
+            &params,
+            &mut bufs,
+            stats,
+            &mut rng,
+            temp,
+            None,
+            &mut fstats,
+            false,
+        );
+        let new_cost = mapping_cost(&mapping);
+        let accept =
+            new_cost <= cost || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
+        if accept {
+            mapping.commit();
+            if new_cost < cost {
+                stats.accepted += 1;
+                improved += 1;
             }
-        }
-        MovementEngine::Journal => {
-            let mut cost = mapping_cost(&mapping);
-            for _ in 0..moves {
-                stats.attempted += 1;
-                mapping.begin_txn();
-                movement(
-                    &policy,
-                    &mut mapping,
-                    &params,
-                    &mut bufs,
-                    stats,
-                    &mut rng,
-                    temp,
-                    None,
-                    &mut fstats,
-                    false,
-                );
-                let new_cost = mapping_cost(&mapping);
-                let accept = new_cost <= cost
-                    || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
-                if accept {
-                    mapping.commit();
-                    if new_cost < cost {
-                        stats.accepted += 1;
-                        improved += 1;
-                    }
-                    cost = new_cost;
-                } else {
-                    mapping.rollback();
-                }
-            }
+            cost = new_cost;
+        } else {
+            mapping.rollback();
         }
     }
     improved
@@ -863,7 +757,7 @@ impl<G: Guidance> IiMapper for Annealer<G> {
     }
 
     fn map_at_ii<'a>(&self, dfg: &'a Dfg, acc: &'a Accelerator, ii: u32) -> Option<Mapping<'a>> {
-        crate::strategy::run_spec(
+        crate::strategy::race_lanes(
             &self.strategy,
             &self.guidance,
             &self.params,
@@ -1030,20 +924,6 @@ mod tests {
         let cands = candidate_slots(&m, NodeId::new(1));
         assert!(!cands.is_empty());
         assert!(cands.iter().all(|&(_, t)| t >= 3));
-    }
-
-    #[test]
-    fn movement_engines_follow_identical_trajectories() {
-        // The journal engine must replicate the snapshot-clone engine's
-        // trajectory exactly: same RNG draws, same accept decisions, same
-        // improvement count — this is the rollback-equivalence contract.
-        let dfg = polybench::kernel("doitgen").unwrap();
-        let acc = Accelerator::cgra("3x3", 3, 3);
-        for seed in [1, 7, 42] {
-            let a = movement_throughput(&dfg, &acc, 3, seed, 120, MovementEngine::SnapshotClone);
-            let b = movement_throughput(&dfg, &acc, 3, seed, 120, MovementEngine::Journal);
-            assert_eq!(a, b, "engines diverged for seed {seed}");
-        }
     }
 
     #[test]

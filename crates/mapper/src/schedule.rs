@@ -136,36 +136,7 @@ impl IiSearch {
     where
         M: IiMapper + Sync,
     {
-        self.run_with_mapping_par(mapper, dfg, acc, 1).0
-    }
-
-    /// Runs the search on one thread and also returns the successful
-    /// mapping (used by the label extractor).
-    pub fn run_with_mapping<'a, M>(
-        &self,
-        mapper: &M,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-    ) -> (MappingOutcome, Option<Mapping<'a>>)
-    where
-        M: IiMapper + Sync,
-    {
-        self.run_with_mapping_par(mapper, dfg, acc, 1)
-    }
-
-    /// [`search`](Self::search) without the rejection record.
-    pub fn run_with_mapping_par<'a, M>(
-        &self,
-        mapper: &M,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        parallelism: usize,
-    ) -> (MappingOutcome, Option<Mapping<'a>>)
-    where
-        M: IiMapper + Sync,
-    {
-        let report = self.search(mapper, dfg, acc, parallelism);
-        (report.outcome, report.mapping)
+        self.search(mapper, dfg, acc, 1).outcome
     }
 
     /// Speculative parallel II search. IIs are attempted in waves of
@@ -352,11 +323,9 @@ mod tests {
             assert_eq!(iis, [2, 4]);
             assert_eq!(report.rejected[1].reason, "mapping is at II 5");
         }
-        // The tuple API drops the record but not the check.
-        let (outcome, mapping) =
-            IiSearch::default().run_with_mapping_par(&Broken { succeed_at: 3 }, &g, &acc, 1);
+        // The outcome-only API drops the record but not the check.
+        let outcome = IiSearch::default().run(&Broken { succeed_at: 3 }, &g, &acc);
         assert_eq!(outcome.ii, Some(3));
-        assert!(mapping.is_some_and(|m| m.is_complete()));
     }
 
     #[test]
@@ -403,11 +372,10 @@ mod tests {
         // MII is 5 (five ops on one PE); a cap of 3 leaves no II to try.
         let mapper = FailThenSucceed { succeed_at: 0 };
         for threads in [1, 2] {
-            let (outcome, mapping) =
-                IiSearch { max_ii: Some(3) }.run_with_mapping_par(&mapper, &g, &acc, threads);
-            assert_eq!(outcome.ii, None);
-            assert_eq!(outcome.attempts, 0);
-            assert!(mapping.is_none());
+            let report = IiSearch { max_ii: Some(3) }.search(&mapper, &g, &acc, threads);
+            assert_eq!(report.outcome.ii, None);
+            assert_eq!(report.outcome.attempts, 0);
+            assert!(report.mapping.is_none());
         }
     }
 
@@ -419,7 +387,9 @@ mod tests {
         let mapper = FailThenSucceed { succeed_at: 3 };
         let sequential = IiSearch::default().run(&mapper, &g, &acc);
         for threads in [1, 2, 4, 8] {
-            let (par, _) = IiSearch::default().run_with_mapping_par(&mapper, &g, &acc, threads);
+            let par = IiSearch::default()
+                .search(&mapper, &g, &acc, threads)
+                .outcome;
             assert_eq!(par.ii, sequential.ii, "threads {threads}");
             // Speculative wave attempts beyond the winner are not billed.
             assert_eq!(par.attempts, sequential.attempts, "threads {threads}");
@@ -432,7 +402,7 @@ mod tests {
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
         let mapper = FailThenSucceed { succeed_at: 99 };
-        let (outcome, _) = IiSearch::default().run_with_mapping_par(&mapper, &g, &acc, 3);
+        let outcome = IiSearch::default().search(&mapper, &g, &acc, 3).outcome;
         assert_eq!(outcome.ii, None);
         assert_eq!(outcome.attempts, 4);
     }

@@ -1,21 +1,25 @@
-//! The [`SearchStrategy`] contract: heterogeneous mapper lanes raced
-//! per II under one deterministic winner rule.
+//! Heterogeneous mapper lanes raced per II under one deterministic
+//! winner rule.
 //!
-//! A *lane* is any search algorithm implementing [`SearchStrategy`]
-//! over the shared substrate — [`Mapping`] (placement + routing with
-//! the transaction journal), the Dijkstra router, the `lisa-events`
-//! sink, and the optional movement filter. A [`StrategySpec`] is the
-//! lane list; three lane kinds exist:
+//! A *lane* is one search algorithm over the shared substrate —
+//! [`Mapping`] (placement + routing with the transaction journal), the
+//! exact router, the `lisa-events` sink, and the optional movement
+//! filter. A [`StrategySpec`] is the lane list; the lane kinds form the
+//! closed set [`LaneKind`]:
 //!
 //! * `sa` — the annealer, guided by the mapper's [`Guidance`] (vanilla
 //!   or labels); the default spec is one such lane;
-//! * [`crate::evolutionary::EvolutionaryStrategy`] — a deterministic
-//!   population mapper whose crossover exchanges placement regions via
-//!   the transaction journal and whose mutation reuses the annealer's
-//!   movement generator;
-//! * [`crate::constructive::ConstructiveStrategy`] — a LOCAL-style
-//!   low-complexity one-pass mapper that often finishes easy kernels
+//! * `evolutionary` — [`crate::evolutionary::EvolutionaryStrategy`], a
+//!   deterministic population mapper whose crossover exchanges placement
+//!   regions via the transaction journal and whose mutation reuses the
+//!   annealer's movement generator;
+//! * `constructive` — [`crate::constructive::ConstructiveStrategy`]'s
+//!   LOCAL-style one-pass mapping, which often finishes easy kernels
 //!   outright at a tiny fraction of the router work.
+//!
+//! Every lane returns a mapping only when it is complete, is a pure
+//! function of `(dfg, acc, ii)` and its lane-derived seed, and reports
+//! its router-work counters as a [`PipelineEvent::SaFilterSummary`].
 //!
 //! **Winner rule.** Constructive lanes run first, in lane-index order:
 //! they are deterministic and orders of magnitude cheaper than a
@@ -25,7 +29,7 @@
 //! index. Lane seeds derive from the lane *index* via
 //! `chain_seed`, so the outcome is a pure function of the request;
 //! wall-clock parallelism lives one level up, in the II waves of
-//! [`crate::IiSearch::run_with_mapping_par`].
+//! [`crate::IiSearch::search`].
 
 use std::fmt;
 
@@ -34,10 +38,10 @@ use lisa_dfg::Dfg;
 use lisa_events::{EventSink, PipelineEvent};
 use lisa_rng::Rng;
 
-use crate::constructive::ConstructiveStrategy;
+use crate::constructive::construct;
 use crate::evolutionary::EvolutionaryStrategy;
 use crate::portfolio::chain_seed;
-use crate::predictor::{FilterStats, MovementScorer};
+use crate::predictor::MovementScorer;
 use crate::sa::{anneal, mapping_cost, Guidance, SaParams};
 use crate::Mapping;
 
@@ -154,91 +158,20 @@ impl StrategySpec {
     }
 }
 
-/// One lane: a search algorithm over the shared mapping substrate.
-///
-/// Lanes **share** the problem statement (`dfg`, `acc`, `ii`), the
-/// [`Mapping`] state machine (placement + routing + transaction
-/// journal), the router, the event sink, and the optional movement
-/// filter. Lanes **own** their search trajectory: how the lane-derived
-/// seed drives it, what intermediate states it visits, and when it
-/// gives up. A lane must return `Some` only for *complete* mappings,
-/// must be a pure function of its arguments (determinism contract), and
-/// must emit a [`PipelineEvent::SaFilterSummary`] for its router-work
-/// counters when the sink is active so A/B measurements read every lane
-/// from the same stream.
-pub trait SearchStrategy {
-    /// The stable lane name (matches [`LaneKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Whether the lane is a deterministic, cheap constructive pass.
-    /// Constructive lanes run before the stochastic lanes and win
-    /// outright when complete (see the module docs' winner rule).
-    fn is_constructive(&self) -> bool {
-        false
-    }
-
-    /// Runs the lane to completion. `lane` is the lane index (tags
-    /// emitted events); `seed` is the lane-derived RNG seed —
-    /// deterministic lanes ignore it. Returns a complete mapping or
-    /// `None`, plus the lane's router-work counters.
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats);
-}
-
-/// The annealer as a lane. Builds a fresh policy from the guidance per
-/// run (policies may hold per-run state), so every `sa` lane of a spec
-/// anneals exactly like a lone annealing chain with the lane's seed.
-struct SaStrategy<'g, G> {
-    guidance: &'g G,
-    params: &'g SaParams,
-}
-
-impl<G: Guidance> SearchStrategy for SaStrategy<'_, G> {
-    fn name(&self) -> &'static str {
-        "sa"
-    }
-
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let policy = self.guidance.policy(dfg);
-        let mut rng = Rng::seed_from_u64(seed);
-        anneal(
-            &policy,
-            self.params,
-            dfg,
-            acc,
-            ii,
-            &mut rng,
-            lane,
-            sink,
-            filter,
-        )
-    }
-}
-
-/// Races `lanes` for one II under the deterministic winner rule (module
-/// docs): complete constructive lanes win outright in lane order;
-/// otherwise the stochastic lanes run in lane order and are judged by
-/// `(lowest cost, lowest lane index)`. Lane seeds derive from the lane
-/// index via [`chain_seed`].
-fn race_lanes<'a>(
-    lanes: &[&dyn SearchStrategy],
+/// Races the lanes of `spec` for one II under the deterministic winner
+/// rule (module docs): complete constructive lanes win outright in lane
+/// order; otherwise the stochastic lanes run in lane order and are
+/// judged by `(lowest cost, lowest lane index)`. Lane seeds derive from
+/// the lane index via [`chain_seed`]. Every lane emits a
+/// [`PipelineEvent::SaFilterSummary`] of its router-work counters when
+/// the sink is active, so A/B measurements read every lane from the same
+/// stream. This is the annealer front-end's single entry point; the
+/// default spec (one `sa` lane) is the lone annealing chain.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn race_lanes<'a, G: Guidance>(
+    spec: &StrategySpec,
+    guidance: &G,
+    params: &SaParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
@@ -246,9 +179,26 @@ fn race_lanes<'a>(
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
 ) -> Option<Mapping<'a>> {
+    let lanes = &spec.lanes;
     let run = |lane: usize| {
         let lane_seed = chain_seed(seed, lane as u64, ii);
-        let (mapping, _stats) = lanes[lane].run(dfg, acc, ii, lane, lane_seed, sink, filter);
+        let mapping = match lanes[lane] {
+            LaneKind::Sa => {
+                // A fresh policy per lane: policies may hold per-run state.
+                let mut rng = Rng::seed_from_u64(lane_seed);
+                let policy = guidance.policy(dfg);
+                anneal(&policy, params, dfg, acc, ii, &mut rng, lane, sink, filter).0
+            }
+            LaneKind::Evolutionary => {
+                EvolutionaryStrategy::new(params.clone())
+                    .run(dfg, acc, ii, lane, lane_seed, sink, filter)
+                    .0
+            }
+            LaneKind::Constructive => construct(dfg, acc, ii).and_then(|(m, stats)| {
+                stats.emit_summary(sink, lane, ii);
+                m.is_complete().then_some(m)
+            }),
+        };
         mapping.map(|m| (mapping_cost(&m), lane, m))
     };
     let won = |(cost, lane, m): (f64, usize, Mapping<'a>)| {
@@ -263,13 +213,17 @@ fn race_lanes<'a>(
         m
     };
     // Constructive lanes first: the first complete result wins.
-    let constructive = (0..lanes.len()).filter(|&lane| lanes[lane].is_constructive());
-    if let Some(winner) = constructive.filter_map(run).next() {
+    let is_constructive = |lane: &usize| lanes[*lane] == LaneKind::Constructive;
+    if let Some(winner) = (0..lanes.len())
+        .filter(is_constructive)
+        .filter_map(run)
+        .next()
+    {
         return Some(won(winner));
     }
     let mut best: Option<(f64, usize, Mapping<'a>)> = None;
     for candidate in (0..lanes.len())
-        .filter(|&lane| !lanes[lane].is_constructive())
+        .filter(|lane| !is_constructive(lane))
         .filter_map(run)
     {
         match &best {
@@ -279,35 +233,6 @@ fn race_lanes<'a>(
         }
     }
     best.map(won)
-}
-
-/// Instantiates one strategy per lane of `spec` and races them. This is
-/// the annealer front-end's single entry point; the default spec (one
-/// `sa` lane) is the lone annealing chain.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec<'a, G: Guidance>(
-    spec: &StrategySpec,
-    guidance: &G,
-    params: &SaParams,
-    dfg: &'a Dfg,
-    acc: &'a Accelerator,
-    ii: u32,
-    seed: u64,
-    sink: &EventSink,
-    filter: Option<&dyn MovementScorer>,
-) -> Option<Mapping<'a>> {
-    let sa = SaStrategy { guidance, params };
-    let evolutionary = EvolutionaryStrategy::new(params.clone());
-    let lanes: Vec<&dyn SearchStrategy> = spec
-        .lanes
-        .iter()
-        .map(|kind| match kind {
-            LaneKind::Sa => &sa as &dyn SearchStrategy,
-            LaneKind::Evolutionary => &evolutionary as &dyn SearchStrategy,
-            LaneKind::Constructive => &ConstructiveStrategy as &dyn SearchStrategy,
-        })
-        .collect();
-    race_lanes(&lanes, dfg, acc, ii, seed, sink, filter)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Three layers of pinning:
 //!
 //! * **Golden digests** — four SA lanes (`sa,sa,sa,sa`) must stay
-//!   byte-identical to the pre-`SearchStrategy` mapper. The digests
+//!   byte-identical to the mapper that preceded the lane race. The digests
 //!   below were captured by running the pre-refactor four-chain
 //!   portfolio (`SaParams::paper()`) on this exact suite.
 //! * **Rerun identity** — every strategy mix maps byte-identically when
@@ -16,7 +16,8 @@
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
 use lisa_mapper::{
-    GuidanceLabels, IiMapper, IiSearch, LabelSaMapper, Mapping, SaMapper, SaParams, StrategySpec,
+    GuidanceLabels, IiMapper, IiSearch, LabelSaMapper, Mapping, SaMapper, SaParams, SearchReport,
+    StrategySpec,
 };
 
 /// FNV-1a over every placement and route step: byte-level identity of
@@ -142,7 +143,11 @@ fn mixed_portfolio_is_rerun_and_thread_count_invariant() {
     let mut runs = Vec::new();
     for parallelism in [1, 2, 4, 1] {
         let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(mixed.clone());
-        let (outcome, m) = search.run_with_mapping_par(&sa, &dfg, &acc, parallelism);
+        let SearchReport {
+            outcome,
+            mapping: m,
+            ..
+        } = search.search(&sa, &dfg, &acc, parallelism);
         let m = m.expect("gemm maps by ii 8");
         m.verify().expect("mixed-lane winner verifies");
         runs.push((outcome.ii, outcome.attempts, digest(&m)));
@@ -157,7 +162,11 @@ fn mixed_portfolio_is_rerun_and_thread_count_invariant() {
     for parallelism in [1, 4] {
         let label = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 7)
             .with_strategy(mixed.clone());
-        let (outcome, m) = search.run_with_mapping_par(&label, &dfg, &acc, parallelism);
+        let SearchReport {
+            outcome,
+            mapping: m,
+            ..
+        } = search.search(&label, &dfg, &acc, parallelism);
         let m = m.expect("gemm maps by ii 8");
         m.verify().expect("mixed-lane winner verifies");
         runs.push((outcome.ii, outcome.attempts, digest(&m)));

@@ -22,6 +22,11 @@ echo "verify: lisa-lint clean"
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# API docs are warning-free too: an intra-doc link left pointing at a
+# deleted or private item fails the tier.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --lib --offline
+echo "verify: rustdoc clean"
+
 # The benchmark package (BENCHMARK.json) drives the mapper API directly
 # (LabelSaMapper, IiMapper, SaParams, StrategySpec): build and unit-test
 # it here, so an API reshape that breaks the benchmark fails this tier.

@@ -654,12 +654,17 @@ fn main() {
                     }
                 }
             }
-            search.run_with_mapping(&sa, &dfg, &acc)
+            let report = search.search(&sa, &dfg, &acc, 1);
+            (report.outcome, report.mapping)
         }
-        "greedy" => search.run_with_mapping(&ConstructiveStrategy, &dfg, &acc),
+        "greedy" => {
+            let report = search.search(&ConstructiveStrategy, &dfg, &acc, 1);
+            (report.outcome, report.mapping)
+        }
         "ilp" => {
             let ilp = ExactMapper::new(ExactParams::default());
-            search.run_with_mapping(&ilp, &dfg, &acc)
+            let report = search.search(&ilp, &dfg, &acc, 1);
+            (report.outcome, report.mapping)
         }
         other => {
             eprintln!("unknown mapper {other}\n{}", usage());

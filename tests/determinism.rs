@@ -5,7 +5,7 @@
 
 use lisa::arch::Accelerator;
 use lisa::dfg::{generate_random_dfg, polybench, RandomDfgConfig};
-use lisa::mapper::schedule::{IiMapper, IiSearch};
+use lisa::mapper::schedule::{IiMapper, IiSearch, SearchReport};
 use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaMapper, SaParams, StrategySpec};
 
 /// Two generator runs with the same seed produce byte-identical DFGs
@@ -36,8 +36,9 @@ fn sa_mapper_runs_are_byte_identical() {
         let dfg = generate_random_dfg(&cfg, seed);
         let run = |s: u64| {
             let sa = SaMapper::new(SaParams::fast(), s);
-            let (outcome, mapping) =
-                IiSearch { max_ii: Some(10) }.run_with_mapping(&sa, &dfg, &acc);
+            let SearchReport {
+                outcome, mapping, ..
+            } = IiSearch { max_ii: Some(10) }.search(&sa, &dfg, &acc, 1);
             // `compile_time` is wall-clock and legitimately varies between
             // runs; everything else must be byte-identical.
             format!(
@@ -71,7 +72,9 @@ fn portfolio_is_thread_count_invariant() {
     };
     let sa_run = |threads: usize| {
         let mapper = SaMapper::new(SaParams::fast(), 2022).with_strategy(lanes.clone());
-        let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
+        let SearchReport {
+            outcome, mapping, ..
+        } = search.search(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
     assert_eq!(sa_run(1).as_bytes(), sa_run(4).as_bytes(), "SA diverged");
@@ -79,7 +82,9 @@ fn portfolio_is_thread_count_invariant() {
     let lisa_run = |threads: usize| {
         let mapper = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 2022)
             .with_strategy(lanes.clone());
-        let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
+        let SearchReport {
+            outcome, mapping, ..
+        } = search.search(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
     assert_eq!(

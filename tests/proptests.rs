@@ -12,7 +12,7 @@ use lisa::arch::{Accelerator, PeId};
 use lisa::dfg::{analysis, generate_random_dfg, unroll::unroll, RandomDfgConfig};
 use lisa::labels::attributes::{DfgAttributes, EDGE_ATTR_DIM, NODE_ATTR_DIM};
 use lisa::labels::extract::labels_from_mapping;
-use lisa::mapper::schedule::IiSearch;
+use lisa::mapper::schedule::{IiSearch, SearchReport};
 use lisa::mapper::{SaMapper, SaParams};
 
 fn small_dfg_config() -> RandomDfgConfig {
@@ -106,8 +106,7 @@ lisa_rng::props! {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sa = SaMapper::new(SaParams::fast(), seed);
-        let (outcome, mapping) =
-            IiSearch { max_ii: Some(10) }.run_with_mapping(&sa, &dfg, &acc);
+        let SearchReport { outcome, mapping, .. } = IiSearch { max_ii: Some(10) }.search(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
             assert!(m.verify().is_ok(), "verify failed: {:?}", m.verify());
             assert_eq!(outcome.ii, Some(m.ii()));
@@ -133,8 +132,7 @@ lisa_rng::props! {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sa = SaMapper::new(SaParams::fast(), seed);
-        let (_, mapping) =
-            IiSearch { max_ii: Some(8) }.run_with_mapping(&sa, &dfg, &acc);
+        let SearchReport { mapping, .. } = IiSearch { max_ii: Some(8) }.search(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
             let mut rng = lisa_rng::Rng::seed_from_u64(op_seed);
             let snapshot = format!("{m:?}");
@@ -189,8 +187,7 @@ lisa_rng::props! {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sa = SaMapper::new(SaParams::fast(), seed);
-        let (_, mapping) =
-            IiSearch { max_ii: Some(10) }.run_with_mapping(&sa, &dfg, &acc);
+        let SearchReport { mapping, .. } = IiSearch { max_ii: Some(10) }.search(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
             for v in dfg.node_ids() {
                 m.unplace(v);
@@ -272,8 +269,7 @@ lisa_rng::props! {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sa = SaMapper::new(SaParams::fast(), seed);
-        let (_, mapping) =
-            IiSearch { max_ii: Some(8) }.run_with_mapping(&sa, &dfg, &acc);
+        let SearchReport { mapping, .. } = IiSearch { max_ii: Some(8) }.search(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
             let labels = labels_from_mapping(&m);
             assert!(labels.matches(&dfg));
